@@ -32,7 +32,7 @@ from .documents import (
     load_document,
     serialize_document,
 )
-from .exact import RadicalSum, compare, exact_lt, value_str
+from .exact import RadicalSum, value_str
 from .mapkit import (
     AffineMapZ,
     EnumerationBudgetError,
@@ -125,19 +125,15 @@ def _cmd_check_map(args, parser) -> int:
     return 0
 
 
-def _below_one(space, value) -> bool:
-    tol = _Arith(space).tol
-    return exact_lt(value, 1) if tol is None else compare(value, 1, tol) < 0
-
-
 def _classify_finite_single(space, m) -> list[dict]:
     rows = []
+    ar = _Arith(space)
     k = lipschitz_min(space, m)
     rows.append(
         {
             "condition": "contraction",
             "minimal_constant": _value_json(k),
-            "holds_below_one": _below_one(space, k),
+            "holds_below_one": ar.below_one(k),
         }
     )
     for label, checker in (("quasi-max", check_quasi), ("five-term-max", check_ciric5)):
@@ -146,7 +142,7 @@ def _classify_finite_single(space, m) -> list[dict]:
             {
                 "condition": label,
                 "minimal_constant": _value_json(c),
-                "holds_below_one": _below_one(space, c),
+                "holds_below_one": ar.below_one(c),
             }
         )
     return rows

@@ -1,7 +1,9 @@
 """Evaluators for the contractive-type conditions studied here.
 
 Every check quantifies over ordered pairs (x, y), diagonal included,
-and reports the lexicographically least violation.  On spaces whose
+and reports the lexicographically least violation.  Checks run on
+canonical point positions and the space's distance table, so each map
+must be a self-map of the space's own points.  On spaces whose
 distances are exact (word metric, taxicab, Euclidean) the verdicts are
 exact; for other exponents the space's comparison tolerance applies and
 reports carry exact=False.
@@ -12,11 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath
 
-from .exact import compare, exact_div, exact_le, exact_lt, exact_max
+from .exact import compare, exact_div, exact_max
 from .mapkit import SelfMap
 from .metric import DigitalMetricSpace
 from .space import Point
@@ -81,14 +83,20 @@ class _Arith:
         return self.tol is None
 
     def le(self, a, b) -> bool:
-        if self.tol is None:
-            return exact_le(a, b)
         return compare(a, b, self.tol) <= 0
 
     def positive(self, a) -> bool:
-        if self.tol is None:
-            return exact_lt(0, a)
         return compare(0, a, self.tol) < 0
+
+    def below_one(self, a) -> bool:
+        return compare(a, 1, self.tol) < 0
+
+    def greater(self, a, b) -> bool:
+        """The order that picks maxima: exact in the exact regimes, plain
+        ``>`` on mpf values in the general l_p regime (no tolerance)."""
+        if self.tol is None:
+            return compare(a, b) > 0
+        return a > b
 
     def scale(self, coeff: Fraction, value):
         if self.tol is None:
@@ -96,61 +104,92 @@ class _Arith:
         return mpmath.mpf(coeff.numerator) * value / coeff.denominator
 
     def max(self, values):
-        values = list(values)
         if self.tol is None:
             return exact_max(values)
         return max(values)
 
-    def ratio_max(self, ratios):
-        """Largest of num/den ratios; 0 when there are none."""
-        pairs = list(ratios)
-        if not pairs:
-            return Fraction(0)
-        if self.tol is None:
-            return exact_max([exact_div(num, den) for num, den in pairs])
-        return max(num / den for num, den in pairs)
+
+def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
+    """f's values as positions in the space's table."""
+    if f.domain.points != space.points:
+        raise ValueError("the map's domain is not the space's point set")
+    return f.indices
 
 
-def _pairs(space: DigitalMetricSpace):
-    pts = space.image.points
-    return itertools.product(pts, pts)
+class _Scan(NamedTuple):
+    """One pass of lhs <= coeff * base over all ordered pairs.
+
+    witness is the first violating pair; constant is the largest
+    lhs / base over pairs with positive base (0 when there are none) and
+    worst the first pair reaching it; no_finite marks a pair with zero
+    base against a positive lhs, which leaves constant None.
+    """
+
+    witness: tuple[Point, Point] | None
+    constant: object
+    worst: tuple[Point, Point] | None
+    no_finite: bool
+
+    def report(self, space: DigitalMetricSpace) -> ConditionReport:
+        return ConditionReport(
+            holds=self.witness is None,
+            witness=self.witness,
+            minimal_constant=self.constant,
+            no_finite_constant=self.no_finite,
+            exact=space.comparison_tolerance is None,
+        )
+
+
+def _scan(space: DigitalMetricSpace, terms: Callable, coeff, minimal: bool = True) -> _Scan:
+    """The pairwise evaluator behind every single-coefficient condition.
+
+    terms(i, j) gives (lhs, base) for the pair of canonical positions
+    (i, j); pairs run in lexicographic order, diagonal included.  With
+    coeff None only the constant is sought; with minimal False the scan
+    stops at the first violation and seeks no constant.
+    """
+    ar = _Arith(space)
+    pts = space.points
+    witness = best = worst = None
+    no_finite = False
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        lhs, base = terms(i, j)
+        if coeff is not None and witness is None and not ar.le(lhs, ar.scale(coeff, base)):
+            witness = (pts[i], pts[j])
+            if not minimal:
+                break
+        if minimal:
+            if ar.positive(base):
+                ratio = exact_div(lhs, base)
+                if best is None or ar.greater(ratio, best):
+                    best, worst = ratio, (pts[i], pts[j])
+            elif ar.positive(lhs):
+                no_finite = True
+    if not minimal or no_finite:
+        constant = None
+    else:
+        constant = Fraction(0) if best is None else best
+    return _Scan(witness, constant, worst, no_finite)
+
+
+def _contraction_terms(space: DigitalMetricSpace, f: SelfMap) -> Callable:
+    """(d(fx, fy), d(x, y)) by position."""
+    d, v = space.index_distance, _positions(space, f)
+    return lambda i, j: (d(v[i], v[j]), d(i, j))
 
 
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
     k = _unit_fraction(k, "k")
-    ar = _Arith(space)
-    d = space.distance
-    witness = None
-    ratios = []
-    for x, y in _pairs(space):
-        lhs = d(f(x), f(y))
-        if witness is None and not ar.le(lhs, ar.scale(k, d(x, y))):
-            witness = (x, y)
-            if not minimal:
-                break
-        if minimal and x != y:
-            ratios.append((lhs, d(x, y)))
-    return ConditionReport(
-        holds=witness is None,
-        witness=witness,
-        minimal_constant=ar.ratio_max(ratios) if minimal else None,
-        exact=ar.exact,
-    )
+    return _scan(space, _contraction_terms(space, f), k, minimal).report(space)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
     """Least k with d(fx, fy) <= k * d(x, y) everywhere; 0 on singletons."""
-    ar = _Arith(space)
-    d = space.distance
-    return ar.ratio_max(
-        (d(f(x), f(y)), d(x, y)) for x, y in _pairs(space) if x != y
-    )
+    return _scan(space, _contraction_terms(space, f), None).constant
 
 
-def check_kannan(
-    space: DigitalMetricSpace, t: SelfMap, a, b, minimal: bool = True
-) -> ConditionReport:
+def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport:
     """d(Tx, Ty) <= a*[d(x,Tx) + d(y,Ty)] + b*[d(x,Ty) + d(Tx,y)].
 
     The two coefficients must be nonnegative with a + b < 1/2.  No
@@ -163,58 +202,37 @@ def check_kannan(
     if a + b >= Fraction(1, 2):
         raise ValueError(f"need a + b < 1/2, got {a + b}")
     ar = _Arith(space)
-    d = space.distance
-    witness = None
-    for x, y in _pairs(space):
-        tx, ty = t(x), t(y)
-        rhs = ar.scale(a, d(x, tx) + d(y, ty)) + ar.scale(b, d(x, ty) + d(tx, y))
-        if not ar.le(d(tx, ty), rhs):
-            witness = (x, y)
-            break
-    return ConditionReport(holds=witness is None, witness=witness, exact=ar.exact)
-
-
-def _max_term_check(space, t, r, terms_of, minimal):
-    """Shared core for the r * max{...} condition family."""
-    r = _unit_fraction(r, "r")
-    ar = _Arith(space)
-    witness = None
-    ratios = []
-    for x, y in _pairs(space):
-        lhs = space.distance(t(x), t(y))
-        biggest = ar.max(terms_of(x, y))
-        if witness is None and not ar.le(lhs, ar.scale(r, biggest)):
-            witness = (x, y)
-            if not minimal:
-                break
-        if minimal and ar.positive(biggest):
-            ratios.append((lhs, biggest))
-    return ConditionReport(
-        holds=witness is None,
-        witness=witness,
-        minimal_constant=ar.ratio_max(ratios) if minimal else None,
-        exact=ar.exact,
-    )
+    d, v = space.index_distance, _positions(space, t)
+    pts = space.points
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        ti, tj = v[i], v[j]
+        rhs = ar.scale(a, d(i, ti) + d(j, tj)) + ar.scale(b, d(i, tj) + d(ti, j))
+        if not ar.le(d(ti, tj), rhs):
+            return ConditionReport(holds=False, witness=(pts[i], pts[j]), exact=ar.exact)
+    return ConditionReport(holds=True, exact=ar.exact)
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
-    d = space.distance
+    r = _unit_fraction(r, "r")
+    ar, d, v = _Arith(space), space.index_distance, _positions(space, t)
 
-    def terms(x, y):
-        return (d(x, y), d(x, t(x)), d(y, t(y)))
+    def terms(i, j):
+        return d(v[i], v[j]), ar.max((d(i, j), d(i, v[i]), d(j, v[j])))
 
-    return _max_term_check(space, t, r, terms, minimal)
+    return _scan(space, terms, r, minimal).report(space)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
-    d = space.distance
+    r = _unit_fraction(r, "r")
+    ar, d, v = _Arith(space), space.index_distance, _positions(space, t)
 
-    def terms(x, y):
-        return (d(x, y), d(x, t(x)), d(y, t(y)), d(x, t(y)), d(t(x), y))
+    def terms(i, j):
+        ti, tj = v[i], v[j]
+        return d(ti, tj), ar.max((d(i, j), d(i, ti), d(j, tj), d(i, tj), d(ti, j)))
 
-    return _max_term_check(space, t, r, terms, minimal)
+    return _scan(space, terms, r, minimal).report(space)
 
 
 def check_pair_domination(
@@ -224,31 +242,9 @@ def check_pair_domination(
     rho = _unit_fraction(rho, "rho")
     if g.domain != h.domain:
         raise ValueError("both maps must share one domain")
-    ar = _Arith(space)
-    d = space.distance
-    witness = None
-    no_finite = False
-    ratios = []
-    for x, y in _pairs(space):
-        lhs = d(h(x), h(y))
-        base = d(g(x), g(y))
-        if witness is None and not ar.le(lhs, ar.scale(rho, base)):
-            witness = (x, y)
-            if not minimal:
-                break
-        if minimal:
-            if ar.positive(base):
-                ratios.append((lhs, base))
-            elif ar.positive(lhs):
-                no_finite = True
-    condition = ConditionReport(
-        holds=witness is None,
-        witness=witness,
-        minimal_constant=None if (no_finite or not minimal) else ar.ratio_max(ratios),
-        no_finite_constant=no_finite,
-        exact=ar.exact,
-    )
-    return PairDominationReport(condition, h.image_set <= g.image_set)
+    d, gv, hv = space.index_distance, _positions(space, g), _positions(space, h)
+    scan = _scan(space, lambda i, j: (d(hv[i], hv[j]), d(gv[i], gv[j])), rho, minimal)
+    return PairDominationReport(scan.report(space), h.image_set <= g.image_set)
 
 
 def check_saluja(
@@ -263,31 +259,14 @@ def check_saluja(
     xi = _unit_fraction(xi, "xi")
     if j.domain != k.domain:
         raise ValueError("both maps must share one domain")
-    ar = _Arith(space)
-    d = space.distance
-    witness = None
-    no_finite = False
-    ratios = []
-    for u, q in _pairs(space):
-        lhs_j = d(j(u), j(q))
-        base = d(k(u), k(q))
-        if witness is None and not ar.le(lhs_j + base, ar.scale(xi, base)):
-            witness = (u, q)
-            if not minimal:
-                break
-        if minimal:
-            if ar.positive(base):
-                ratios.append((lhs_j + base, base))
-            elif ar.positive(lhs_j):
-                no_finite = True
-    condition = ConditionReport(
-        holds=witness is None,
-        witness=witness,
-        minimal_constant=None if (no_finite or not minimal) else ar.ratio_max(ratios),
-        no_finite_constant=no_finite,
-        exact=ar.exact,
-    )
-    return ConstancyReport(condition, j.is_constant, k.is_constant)
+    d, jv, kv = space.index_distance, _positions(space, j), _positions(space, k)
+
+    def terms(u, q):
+        base = d(kv[u], kv[q])
+        return d(jv[u], jv[q]) + base, base
+
+    scan = _scan(space, terms, xi, minimal)
+    return ConstancyReport(scan.report(space), j.is_constant, k.is_constant)
 
 
 def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> ConditionReport:
@@ -303,19 +282,20 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     if t.domain != s.domain:
         raise ValueError("both maps must share one domain")
     ar = _Arith(space)
-    d = space.distance
+    d, tv, sv = space.index_distance, _positions(space, t), _positions(space, s)
+    pts = space.points
     witness = None
     undefined = []
-    for x, y in _pairs(space):
-        dx_sy = d(x, s(y))
-        dy_tx = d(y, t(x))
+    for x, y in itertools.product(range(len(pts)), repeat=2):
+        dx_sy = d(x, sv[y])
+        dy_tx = d(y, tv[x])
         denom = dx_sy + dy_tx
         if not ar.positive(denom):
-            undefined.append((x, y))
+            undefined.append((pts[x], pts[y]))
             continue
-        numer = d(x, t(x)) * dx_sy + d(y, s(y)) * dy_tx
-        if witness is None and not ar.le(d(t(x), s(y)) * denom, numer):
-            witness = (x, y)
+        numer = d(x, tv[x]) * dx_sy + d(y, sv[y]) * dy_tx
+        if witness is None and not ar.le(d(tv[x], sv[y]) * denom, numer):
+            witness = (pts[x], pts[y])
     return ConditionReport(
         holds=witness is None,
         witness=witness,
@@ -329,10 +309,10 @@ def weakly_commutative(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> Con
     if s.domain != t.domain:
         raise ValueError("both maps must share one domain")
     ar = _Arith(space)
-    d = space.distance
-    for x in space.image.points:
-        if not ar.le(d(s(t(x)), t(s(x))), d(s(x), t(x))):
-            return ConditionReport(holds=False, witness=(x,), exact=ar.exact)
+    d, sv, tv = space.index_distance, _positions(space, s), _positions(space, t)
+    for x, point in enumerate(space.points):
+        if not ar.le(d(sv[tv[x]], tv[sv[x]]), d(sv[x], tv[x])):
+            return ConditionReport(holds=False, witness=(point,), exact=ar.exact)
     return ConditionReport(holds=True, exact=ar.exact)
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contracts import ConditionReport, _Arith, check_kannan
-from .exact import compare, exact_div, exact_lt
+from .contracts import ConditionReport, _Arith, _contraction_terms, _scan, check_kannan
 from .mapkit import (
     EVENTUALLY_CONSTANT,
     EVENTUALLY_PERIODIC,
@@ -69,25 +68,6 @@ class StabilityVerdict:
             raise ValueError("verdict and deviating orbit disagree")
 
 
-def _worst_ratio(space: DigitalMetricSpace, f: SelfMap):
-    """Max of d(fx,fy)/d(x,y) with its first achieving pair (0, None on
-    singletons)."""
-    ar = _Arith(space)
-    d = space.distance
-    best = None
-    best_pair = None
-    for x in space.image.points:
-        for y in space.image.points:
-            if x == y:
-                continue
-            ratio = exact_div(d(f(x), f(y)), d(x, y))
-            if best is None or best < ratio:
-                best, best_pair = ratio, (x, y)
-    if best is None:
-        return Fraction(0), None
-    return best, best_pair
-
-
 def _all_orbits(f: SelfMap) -> tuple[OrbitReport, ...]:
     return tuple(orbit(f, x) for x in f.domain.points)
 
@@ -96,24 +76,21 @@ def _settles_at(report: OrbitReport, p: Point) -> bool:
     return report.kind == EVENTUALLY_CONSTANT and report.value == p
 
 
-def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
-    """The contraction theorem: a map with Lipschitz constant below 1
-    has a unique fixed point, reached by every Picard orbit.
+def _confirm(
+    space: DigitalMetricSpace, f: SelfMap, hypothesis: ConditionReport, descends, label: str
+) -> TheoremReport:
+    """The shared conclusion check of both theorem verifiers.
 
-    The hypothesis check computes the minimal constant; the conclusion
-    is confirmed by scanning Fix(f), running all orbits, and re-checking
-    the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
+    Scans Fix(f), runs an orbit from every point, requires each to
+    settle at the unique fixed point, and re-checks the proof's descent
+    bound descends(seq, n) along the orbit, given as the positions seq of
+    its points, for n in range(len(seq) - 2).  The contraction bound
+    compares steps n and n + 1, so that range covers it; the
+    displacement estimate bounds step n alone, and the step it leaves
+    out is the settled orbit's last, d(p, p) = 0, which every
+    nonnegative bound meets.
     """
-    ar = _Arith(space)
-    k_min, worst = _worst_ratio(space, f)
-    holds = exact_lt(k_min, 1) if ar.tol is None else compare(k_min, 1, ar.tol) < 0
-    hypothesis = ConditionReport(
-        holds=holds,
-        witness=None if holds else worst,
-        minimal_constant=k_min,
-        exact=ar.exact,
-    )
-    if not holds:
+    if not hypothesis.holds:
         return TheoremReport(hypothesis, HYPOTHESIS_FAILS)
     fixes = fixed_points(f)
     orbits = _all_orbits(f)
@@ -126,30 +103,45 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
             detail=f"expected exactly one fixed point, found {len(fixes)}",
         )
     p = fixes[0]
+    index = space.image.index
     for rep in orbits:
         if not _settles_at(rep, p):
-            return TheoremReport(
-                hypothesis,
-                REFUTES,
-                fixed_point=None,
-                unique=True,
-                orbits=orbits,
-                detail=f"orbit from {fmt_point(rep.start)} does not settle at {fmt_point(p)}",
-            )
-        d = space.distance
-        for n in range(len(rep.points) - 2):
-            step = d(rep.points[n + 1], rep.points[n + 2])
-            bound = k_min * d(rep.points[n], rep.points[n + 1])
-            if not ar.le(step, bound):
-                return TheoremReport(
-                    hypothesis,
-                    REFUTES,
-                    fixed_point=None,
-                    unique=True,
-                    orbits=orbits,
-                    detail=f"descent inequality fails at step {n} from {fmt_point(rep.start)}",
-                )
+            detail = f"orbit from {fmt_point(rep.start)} does not settle at {fmt_point(p)}"
+        else:
+            seq = [index[x] for x in rep.points]
+            step = next((n for n in range(len(seq) - 2) if not descends(seq, n)), None)
+            if step is None:
+                continue
+            detail = f"descent {label} fails at step {step} from {fmt_point(rep.start)}"
+        return TheoremReport(hypothesis, REFUTES, unique=True, orbits=orbits, detail=detail)
     return TheoremReport(hypothesis, CONFIRMS, fixed_point=p, unique=True, orbits=orbits)
+
+
+def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
+    """The contraction theorem: a map with Lipschitz constant below 1
+    has a unique fixed point, reached by every Picard orbit.
+
+    The hypothesis check computes the minimal constant, and a failing
+    hypothesis names the first pair reaching it; the conclusion is
+    confirmed by scanning Fix(f), running all orbits, and re-checking
+    the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
+    """
+    ar = _Arith(space)
+    scan = _scan(space, _contraction_terms(space, f), None)
+    k_min = scan.constant
+    holds = ar.below_one(k_min)
+    hypothesis = ConditionReport(
+        holds=holds,
+        witness=None if holds else scan.worst,
+        minimal_constant=k_min,
+        exact=ar.exact,
+    )
+    d = space.index_distance
+
+    def descends(seq, n):
+        return ar.le(d(seq[n + 1], seq[n + 2]), k_min * d(seq[n], seq[n + 1]))
+
+    return _confirm(space, f, hypothesis, descends, "inequality")
 
 
 def kannan_descent_constant(a, b) -> Fraction:
@@ -167,45 +159,14 @@ def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
     proof's estimate d(x_n, x_{n+1}) <= A^n * d(x_0, x_1) termwise.
     """
     hypothesis = check_kannan(space, t, a, b)
-    if not hypothesis.holds:
-        return TheoremReport(hypothesis, HYPOTHESIS_FAILS)
     ar = _Arith(space)
     big_a = kannan_descent_constant(a, b)
-    fixes = fixed_points(t)
-    orbits = _all_orbits(t)
-    if len(fixes) != 1:
-        return TheoremReport(
-            hypothesis,
-            REFUTES,
-            unique=False,
-            orbits=orbits,
-            detail=f"expected exactly one fixed point, found {len(fixes)}",
-        )
-    p = fixes[0]
-    d = space.distance
-    for rep in orbits:
-        if not _settles_at(rep, p):
-            return TheoremReport(
-                hypothesis,
-                REFUTES,
-                fixed_point=None,
-                unique=True,
-                orbits=orbits,
-                detail=f"orbit from {fmt_point(rep.start)} does not settle at {fmt_point(p)}",
-            )
-        first_step = d(rep.points[0], rep.points[1])
-        for n in range(len(rep.points) - 1):
-            step = d(rep.points[n], rep.points[n + 1])
-            if not ar.le(step, ar.scale(big_a**n, first_step)):
-                return TheoremReport(
-                    hypothesis,
-                    REFUTES,
-                    fixed_point=None,
-                    unique=True,
-                    orbits=orbits,
-                    detail=f"descent estimate fails at step {n} from {fmt_point(rep.start)}",
-                )
-    return TheoremReport(hypothesis, CONFIRMS, fixed_point=p, unique=True, orbits=orbits)
+    d = space.index_distance
+
+    def descends(seq, n):
+        return ar.le(d(seq[n], seq[n + 1]), ar.scale(big_a**n, d(seq[0], seq[1])))
+
+    return _confirm(space, t, hypothesis, descends, "estimate")
 
 
 def alternating_orbit(

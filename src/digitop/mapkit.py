@@ -84,6 +84,12 @@ class SelfMap:
         return dict(zip(self.domain.points, self.values))
 
     @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """Canonical positions of the values, computed on first use."""
+        index = self.domain.index
+        return tuple(index[v] for v in self.values)
+
+    @cached_property
     def image_set(self) -> frozenset:
         return frozenset(self.values)
 

@@ -67,9 +67,12 @@ class DiscretenessCertificate:
 class DigitalMetricSpace:
     """A digital image together with a metric.
 
-    Immutable after construction.  The all-pairs shortest-path table is
-    memoized on first use; recomputation under a concurrent race is
-    idempotent, so publication is safe without locking.
+    Immutable after construction.  Distances are memoized in one table
+    indexed by canonical point position (see :meth:`index_distance`),
+    filled one entry at a time on first use; the shortest-path metric
+    also memoizes its breadth-first hop counts on first use.  Refilling
+    an entry under a concurrent race stores the same value, so
+    publication is safe without locking.
     """
 
     def __init__(self, image: DigitalImage, metric: MetricSpec = L1):
@@ -79,6 +82,7 @@ class DigitalMetricSpace:
             raise ValueError("the shortest-path metric needs a connected image")
         self._image = image
         self._metric = metric
+        self._table: dict[tuple[int, int], object] = {}
 
     @property
     def image(self) -> DigitalImage:
@@ -142,6 +146,20 @@ class DigitalMetricSpace:
                 mpmath.power(abs(a - b), exponent) for a, b in zip(x, y)
             )
             return mpmath.power(total, 1 / exponent)
+
+    def index_distance(self, i: int, j: int):
+        """Distance between the points at canonical positions i and j.
+
+        The index-level core behind every checker: positions are not
+        validated, and each entry is computed by :meth:`distance` on
+        first use, then read from the table.
+        """
+        try:
+            return self._table[i, j]
+        except KeyError:
+            pts = self._image.points
+            value = self._table[i, j] = self.distance(pts[i], pts[j])
+            return value
 
     def describe(self) -> str:
         return f"{self._image.describe()}, metric {self._metric}"

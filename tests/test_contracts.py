@@ -81,6 +81,20 @@ def test_pair_checks_require_shared_domain():
             fn(S3, other, ID2)
 
 
+def test_checks_require_a_map_of_the_space():
+    shifted = SelfMap.identity(digital_interval(5, 6))
+    for check in (
+        lambda f: check_banach(S2, f, HALF),
+        lambda f: lipschitz_min(S2, f),
+        lambda f: check_kannan(S2, f, 0, 0),
+        lambda f: check_quasi(S2, f, HALF),
+        lambda f: check_pair_domination(S2, f, f, HALF),
+        lambda f: weakly_commutative(S2, f, f),
+    ):
+        with pytest.raises(ValueError, match="not the space's point set"):
+            check(shifted)
+
+
 # -- banach ----------------------------------------------------------
 
 

@@ -158,6 +158,23 @@ def test_kannan_descent_constant():
     assert kannan_descent_constant(Fraction(1, 4), 0) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize(
+    "mapping, unique, detail",
+    [
+        ({0: 0, 1: 1, 2: 2}, False, "expected exactly one fixed point, found 3"),
+        ({0: 0, 1: 2, 2: 1}, True, "orbit from 1 does not settle at 0"),
+        ({0: 0, 1: 0, 2: 1}, True, "descent estimate fails at step 1 from 2"),
+    ],
+)
+def test_a_conclusion_that_fails_is_refuted_with_its_reason(monkeypatch, mapping, unique, detail):
+    # The theorem is true, so only a hypothesis claimed without checking
+    # reaches these branches: with a = b = 0, A = 0 allows no second step.
+    monkeypatch.setattr("digitop.fixpoint.check_kannan", lambda *args: ConditionReport(holds=True))
+    rep = kannan_verify(S3, themap(S3, mapping), 0, 0)
+    assert (rep.conclusion, rep.unique, rep.detail) == (REFUTES, unique, detail)
+    assert rep.fixed_point is None and len(rep.orbits) == 3
+
+
 KANNAN_GRID = [
     (Fraction(0), Fraction(0)),
     (Fraction(1, 5), Fraction(1, 5)),

@@ -20,6 +20,9 @@ constant below 1 force a fixed point on a finite space, and the only
 strictly increasing self-map of a finite interval is the identity.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from fractions import Fraction
@@ -266,6 +269,12 @@ def test_suite_exhaustive_entry_counts(suite):
     assert sum(first.values()) == 3 * (27 + 256)
     second = by_name["two-coefficient-theorem-exhaustive"]
     assert sum(second.values()) == 3 * (27 + 256) * 10  # ten legal (a, b) pairs
+
+
+def test_suite_document_matches_the_recorded_golden(suite):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "suite.json"
+    expected = json.loads(golden.read_text())["verify-paper"]
+    assert json.dumps(suite.as_document(), indent=2, sort_keys=True) == expected
 
 
 def test_suite_is_deterministic(suite):
