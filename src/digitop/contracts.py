@@ -2,8 +2,8 @@
 
 Every check quantifies over ordered pairs (x, y), diagonal included,
 and reports the lexicographically least violation.  Checks run on
-canonical point positions and the space's distance table, so each map
-must be a self-map of the space's own points.  On spaces whose
+canonical point positions and the levels of the space's distances, so
+each map must be a self-map of the space's own points.  On spaces whose
 distances are exact (word metric, taxicab, Euclidean) the verdicts are
 exact; for other exponents the space's comparison tolerance applies and
 reports carry exact=False.
@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 
-from .exact import compare, exact_div, exact_max
+from .exact import compare, exact_div
 from .mapkit import SelfMap
 from .metric import DigitalMetricSpace
 from .space import Point
@@ -65,9 +65,13 @@ class ConstancyReport(NamedTuple):
     second_constant: bool
 
 
+def _fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _unit_fraction(value, name: str) -> Fraction:
-    q = Fraction(value)
-    if not 0 <= q < 1:
+    q = _fraction(value)
+    if not 0 <= q.numerator < q.denominator:  # denominators are positive
         raise ValueError(f"{name} must satisfy 0 <= {name} < 1, got {q}")
     return q
 
@@ -103,11 +107,6 @@ class _Arith:
             return coeff * value
         return mpmath.mpf(coeff.numerator) * value / coeff.denominator
 
-    def max(self, values):
-        if self.tol is None:
-            return exact_max(values)
-        return max(values)
-
 
 def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
     """f's values as positions in the space's table."""
@@ -116,8 +115,45 @@ def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
     return f.indices
 
 
+class _Verdicts(dict):
+    """rule(ar, levels, key, *coeffs) by level key, decided on first use."""
+
+    def __init__(self, space: DigitalMetricSpace, rule: Callable, coeffs: tuple):
+        super().__init__()
+        self.ar, self.levels, self.rule, self.coeffs = _Arith(space), space.levels, rule, coeffs
+
+    def __missing__(self, key):
+        verdict = self[key] = self.rule(self.ar, self.levels, key, *self.coeffs)
+        return verdict
+
+
+def _verdicts(space: DigitalMetricSpace, rule: Callable, *coeffs) -> _Verdicts:
+    """The space's memo of rule under these coefficients, made on first use."""
+    key = (rule, *coeffs)
+    memo = space.verdicts.get(key)
+    if memo is None:
+        memo = space.verdicts[key] = _Verdicts(space, rule, coeffs)
+    return memo
+
+
+def _lhs(levels: tuple, key):
+    """The distance of a level, or the sum of a pair of levels' distances."""
+    return levels[key] if isinstance(key, int) else levels[key[0]] + levels[key[1]]
+
+
+def _bound(ar: _Arith, levels: tuple, key, coeff: Fraction) -> bool:
+    """lhs <= coeff * base, keyed by (lhs key, base level)."""
+    return ar.le(_lhs(levels, key[0]), ar.scale(coeff, levels[key[1]]))
+
+
+def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> bool:
+    """Kannan's inequality by its five levels, each sum's two ascending."""
+    lhs, x, y, u, w = (levels[k] for k in key)
+    return ar.le(lhs, ar.scale(a, x + y) + ar.scale(b, u + w))
+
+
 class _Scan(NamedTuple):
-    """One pass of lhs <= coeff * base over all ordered pairs.
+    """One pass of a pairwise condition, lhs <= coeff * base or another.
 
     witness is the first violating pair; constant is the largest
     lhs / base over pairs with positive base (0 when there are none) and
@@ -140,48 +176,56 @@ class _Scan(NamedTuple):
         )
 
 
-def _scan(space: DigitalMetricSpace, terms: Callable, coeff, minimal: bool = True) -> _Scan:
-    """The pairwise evaluator behind every single-coefficient condition.
+def _scan(space: DigitalMetricSpace, terms: Callable, holds, minimal: bool = True) -> _Scan:
+    """The pairwise evaluator behind every pairwise condition.
 
-    terms(i, j) gives (lhs, base) for the pair of canonical positions
-    (i, j); pairs run in lexicographic order, diagonal included.  With
-    coeff None only the constant is sought; with minimal False the scan
-    stops at the first violation and seeks no constant.
+    terms(i, j) gives the level key of the pair of canonical positions
+    (i, j) and holds[key] its verdict (holds None: only the constant is
+    sought); pairs run in lexicographic order, diagonal included.  With
+    minimal False the scan stops at the first violation.  Otherwise keys
+    are (lhs key, base level), and the witness and the constant come from
+    the distinct keys in order of first appearance, each with its first
+    pair, as a scan of every pair would.
     """
-    ar = _Arith(space)
     pts = space.points
-    witness = best = worst = None
+    pairs = itertools.product(range(len(pts)), repeat=2)
+    if not minimal:
+        for i, j in pairs:
+            if not holds[terms(i, j)]:
+                return _Scan((pts[i], pts[j]), None, None, False)
+        return _Scan(None, None, None, False)
+    first: dict = {}
+    for i, j in pairs:
+        first.setdefault(terms(i, j), (pts[i], pts[j]))
+    witness = None
+    if holds is not None:
+        witness = next((pair for key, pair in first.items() if not holds[key]), None)
+    ar, levels = _Arith(space), space.levels
+    best = worst = None
     no_finite = False
-    for i, j in itertools.product(range(len(pts)), repeat=2):
-        lhs, base = terms(i, j)
-        if coeff is not None and witness is None and not ar.le(lhs, ar.scale(coeff, base)):
-            witness = (pts[i], pts[j])
-            if not minimal:
-                break
-        if minimal:
-            if ar.positive(base):
-                ratio = exact_div(lhs, base)
-                if best is None or ar.greater(ratio, best):
-                    best, worst = ratio, (pts[i], pts[j])
-            elif ar.positive(lhs):
-                no_finite = True
-    if not minimal or no_finite:
-        constant = None
-    else:
-        constant = Fraction(0) if best is None else best
+    for (lhs_key, base_level), pair in first.items():
+        lhs, base = _lhs(levels, lhs_key), levels[base_level]
+        if ar.positive(base):
+            ratio = exact_div(lhs, base)
+            if best is None or ar.greater(ratio, best):
+                best, worst = ratio, pair
+        elif ar.positive(lhs):
+            no_finite = True
+    constant = None if no_finite else (Fraction(0) if best is None else best)
     return _Scan(witness, constant, worst, no_finite)
 
 
 def _contraction_terms(space: DigitalMetricSpace, f: SelfMap) -> Callable:
-    """(d(fx, fy), d(x, y)) by position."""
-    d, v = space.index_distance, _positions(space, f)
-    return lambda i, j: (d(v[i], v[j]), d(i, j))
+    """(level of d(fx, fy), level of d(x, y)) by position."""
+    r, v = space.rank, _positions(space, f)
+    return lambda i, j: (r[v[i]][v[j]], r[i][j])
 
 
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
     k = _unit_fraction(k, "k")
-    return _scan(space, _contraction_terms(space, f), k, minimal).report(space)
+    scan = _scan(space, _contraction_terms(space, f), _verdicts(space, _bound, k), minimal)
+    return scan.report(space)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
@@ -196,43 +240,44 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     minimal constant is reported: the parameter space is the triangle
     {a, b >= 0, a + b < 1/2}, not a half-line.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _fraction(a), _fraction(b)
     if a < 0 or b < 0:
         raise ValueError("coefficients must be nonnegative")
     if a + b >= Fraction(1, 2):
         raise ValueError(f"need a + b < 1/2, got {a + b}")
-    ar = _Arith(space)
-    d, v = space.index_distance, _positions(space, t)
-    pts = space.points
-    for i, j in itertools.product(range(len(pts)), repeat=2):
+    r, v = space.rank, _positions(space, t)
+
+    def terms(i, j):
         ti, tj = v[i], v[j]
-        rhs = ar.scale(a, d(i, ti) + d(j, tj)) + ar.scale(b, d(i, tj) + d(ti, j))
-        if not ar.le(d(ti, tj), rhs):
-            return ConditionReport(holds=False, witness=(pts[i], pts[j]), exact=ar.exact)
-    return ConditionReport(holds=True, exact=ar.exact)
+        x, y, u, w = r[i][ti], r[j][tj], r[i][tj], r[ti][j]
+        return r[ti][tj], min(x, y), max(x, y), min(u, w), max(u, w)
+
+    return _scan(space, terms, _verdicts(space, _kannan_bound, a, b), False).report(space)
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
     r = _unit_fraction(r, "r")
-    ar, d, v = _Arith(space), space.index_distance, _positions(space, t)
+    rank, v = space.rank, _positions(space, t)
 
     def terms(i, j):
-        return d(v[i], v[j]), ar.max((d(i, j), d(i, v[i]), d(j, v[j])))
+        ri = rank[i]
+        return rank[v[i]][v[j]], max(ri[j], ri[v[i]], rank[j][v[j]])
 
-    return _scan(space, terms, r, minimal).report(space)
+    return _scan(space, terms, _verdicts(space, _bound, r), minimal).report(space)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
     r = _unit_fraction(r, "r")
-    ar, d, v = _Arith(space), space.index_distance, _positions(space, t)
+    rank, v = space.rank, _positions(space, t)
 
     def terms(i, j):
         ti, tj = v[i], v[j]
-        return d(ti, tj), ar.max((d(i, j), d(i, ti), d(j, tj), d(i, tj), d(ti, j)))
+        ri, rti = rank[i], rank[ti]
+        return rti[tj], max(ri[j], ri[ti], rank[j][tj], ri[tj], rti[j])
 
-    return _scan(space, terms, r, minimal).report(space)
+    return _scan(space, terms, _verdicts(space, _bound, r), minimal).report(space)
 
 
 def check_pair_domination(
@@ -242,8 +287,9 @@ def check_pair_domination(
     rho = _unit_fraction(rho, "rho")
     if g.domain != h.domain:
         raise ValueError("both maps must share one domain")
-    d, gv, hv = space.index_distance, _positions(space, g), _positions(space, h)
-    scan = _scan(space, lambda i, j: (d(hv[i], hv[j]), d(gv[i], gv[j])), rho, minimal)
+    r, gv, hv = space.rank, _positions(space, g), _positions(space, h)
+    holds = _verdicts(space, _bound, rho)
+    scan = _scan(space, lambda i, j: (r[hv[i]][hv[j]], r[gv[i]][gv[j]]), holds, minimal)
     return PairDominationReport(scan.report(space), h.image_set <= g.image_set)
 
 
@@ -259,13 +305,13 @@ def check_saluja(
     xi = _unit_fraction(xi, "xi")
     if j.domain != k.domain:
         raise ValueError("both maps must share one domain")
-    d, jv, kv = space.index_distance, _positions(space, j), _positions(space, k)
+    r, jv, kv = space.rank, _positions(space, j), _positions(space, k)
 
     def terms(u, q):
-        base = d(kv[u], kv[q])
-        return d(jv[u], jv[q]) + base, base
+        base = r[kv[u]][kv[q]]
+        return (r[jv[u]][jv[q]], base), base
 
-    scan = _scan(space, terms, xi, minimal)
+    scan = _scan(space, terms, _verdicts(space, _bound, xi), minimal)
     return ConstancyReport(scan.report(space), j.is_constant, k.is_constant)
 
 

@@ -160,7 +160,7 @@ def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
     """
     hypothesis = check_kannan(space, t, a, b)
     ar = _Arith(space)
-    big_a = kannan_descent_constant(a, b)
+    big_a = kannan_descent_constant(a, b) if hypothesis.holds else None
     d = space.index_distance
 
     def descends(seq, n):

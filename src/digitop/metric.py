@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Union
 
 import mpmath
@@ -70,9 +70,11 @@ class DigitalMetricSpace:
     Immutable after construction.  Distances are memoized in one table
     indexed by canonical point position (see :meth:`index_distance`),
     filled one entry at a time on first use; the shortest-path metric
-    also memoizes its breadth-first hop counts on first use.  Refilling
-    an entry under a concurrent race stores the same value, so
-    publication is safe without locking.
+    also memoizes its breadth-first hop counts on first use.  The first
+    checker that asks for :attr:`levels` fills the whole table and sorts
+    its distinct values once; ``verdicts`` keeps the checkers' decisions
+    by level.  Refilling an entry under a concurrent race stores the
+    same value, so publication is safe without locking.
     """
 
     def __init__(self, image: DigitalImage, metric: MetricSpec = L1):
@@ -83,6 +85,7 @@ class DigitalMetricSpace:
         self._image = image
         self._metric = metric
         self._table: dict[tuple[int, int], object] = {}
+        self.verdicts: dict = {}
 
     @property
     def image(self) -> DigitalImage:
@@ -161,6 +164,22 @@ class DigitalMetricSpace:
             value = self._table[i, j] = self.distance(pts[i], pts[j])
             return value
 
+    @cached_property
+    def levels(self) -> tuple:
+        """The distinct distances, ascending: by :func:`compare` when exact,
+        else by plain ``<`` on mpf values (the order that picks maxima)."""
+        n = len(self._image)
+        values = dict.fromkeys(self.index_distance(i, j) for i in range(n) for j in range(n))
+        exact = self.comparison_tolerance is None
+        return tuple(sorted(values, key=cmp_to_key(compare) if exact else None))
+
+    @cached_property
+    def rank(self) -> tuple[tuple[int, ...], ...]:
+        """rank[i][j]: the level of the distance between positions i and j."""
+        level = {value: k for k, value in enumerate(self.levels)}
+        n = len(self._image)
+        return tuple(tuple(level[self.index_distance(i, j)] for j in range(n)) for i in range(n))
+
     def describe(self) -> str:
         return f"{self._image.describe()}, metric {self._metric}"
 
@@ -169,21 +188,13 @@ class DigitalMetricSpace:
 
 
 def discreteness_certificate(space: DigitalMetricSpace) -> DiscretenessCertificate:
-    """Minimum pairwise distance over distinct points of a finite space.
+    """Minimum pairwise distance over distinct points of a finite space:
+    the least positive level, since level 0 is the distance 0.
 
     A singleton space has no pairs; by convention its certificate is 1,
     which every metric here vacuously satisfies.
     """
-    pts = space.points
-    if len(pts) == 1:
-        return DiscretenessCertificate(1)
-    tol = space.comparison_tolerance
-    best = None
-    for x, y in itertools.combinations(pts, 2):
-        d = space.distance(x, y)
-        if best is None or compare(d, best, tol) < 0:
-            best = d
-    return DiscretenessCertificate(best)
+    return DiscretenessCertificate(space.levels[1] if len(space) > 1 else 1)
 
 
 def hausdorff(space: DigitalMetricSpace, first: Iterable, second: Iterable):

@@ -1,0 +1,85 @@
+"""The level order of a space and the work it saves.
+
+Every checker compares integer levels, the positions of a space's
+distinct distances in ascending order, and decides each inequality
+between levels once per space.  These tests pin the three properties
+that rests on, and count the exact comparisons an exhaustive search
+still makes.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from digitop import contracts, exact, metric
+from digitop.contracts import _Arith, check_ciric5
+from digitop.mapkit import SelfMap
+from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
+from digitop.search import EXHAUSTED, find_counterexample, small_connected_images
+from digitop.space import C1, C2, DigitalImage
+
+GRID3 = [(i, j) for i in range(3) for j in range(3)]
+SPACES = [
+    DigitalMetricSpace(img, m)
+    for img in small_connected_images(5)
+    for m in (L1, L2, SHORTEST_PATH)
+] + [DigitalMetricSpace(DigitalImage(GRID3, adj), Lp(3)) for adj in (C1, C2)]
+COEFFICIENTS = tuple(Fraction(c) for c in ("0", "1/4", "1/3", "1/2", "3/4", "1", "3/2", "2"))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_level_order(space):
+    levels, rank, tol = space.levels, space.rank, space.comparison_tolerance
+    for lower, upper in zip(levels, levels[1:]):
+        assert lower < upper if tol is not None else exact.compare(lower, upper) < 0
+    n = len(space)
+    for i in range(n):
+        for j in range(n):
+            value = levels[rank[i][j]]
+            assert value == space.index_distance(i, j)
+            assert type(value) is type(space.index_distance(i, j))
+    # A per-base cap of the levels meeting lhs <= coeff * base needs the
+    # levels that meet it to be a prefix.
+    ar = _Arith(space)
+    for coeff in COEFFICIENTS:
+        for base in levels:
+            verdicts = [ar.le(level, ar.scale(coeff, base)) for level in levels]
+            assert verdicts == sorted(verdicts, reverse=True), (coeff, base)
+
+
+def counting(calls: Counter, name: str, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Counts of exact.compare, where contracts and metric look it up,
+    and of RadicalSum.sign."""
+    calls = Counter()
+    for module in (contracts, metric):
+        monkeypatch.setattr(module, "compare", counting(calls, "compare", exact.compare))
+    monkeypatch.setattr(exact.RadicalSum, "sign", counting(calls, "sign", exact.RadicalSum.sign))
+    return calls
+
+
+def test_an_exhaustive_search_decides_few_comparisons(calls):
+    outcome = find_counterexample("five-term-fixed-point", 4)
+    assert outcome.status == EXHAUSTED
+    assert outcome.stats["instances_scanned"] > 1000
+    assert 0 < calls["compare"] < 1000
+    assert calls["sign"] < calls["compare"]
+
+
+def test_a_repeated_check_decides_nothing_new(calls):
+    sp = DigitalMetricSpace(DigitalImage([(0, 0), (0, 1), (1, 0), (1, 1)], C1), L2)
+    f = SelfMap(sp.image, ((0, 1), (1, 1), (0, 0), (1, 0)))
+    first = check_ciric5(sp, f, Fraction(3, 4), minimal=False)
+    assert calls["compare"] > 0
+    calls.clear()
+    assert check_ciric5(sp, f, Fraction(3, 4), minimal=False) == first
+    assert calls["compare"] == 0 and calls["sign"] == 0
