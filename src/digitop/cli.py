@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fpp",
         parents=[common, spaced],
-        help="decide the fixed point property by exhaustive enumeration",
+        help="decide the fixed point property by a pruned search over all self-maps",
     )
     p.add_argument(
         "--all-maps",

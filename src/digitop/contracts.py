@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 import mpmath
@@ -215,6 +216,38 @@ def _scan(space: DigitalMetricSpace, terms: Callable, holds, minimal: bool = Tru
     return _Scan(witness, constant, worst, no_finite)
 
 
+# Level keys by pair of positions (i, j), shared by the checkers and the
+# searches' prefix constraints: (lhs key, base level), or Kannan's five
+# levels with each sum's two ascending.  v is a map's table of value
+# positions; a two-map table is the first map's n followed by the second's.
+
+
+def _kannan_terms(rank, v, i, j):
+    ti, tj = v[i], v[j]
+    x, y, u, w = rank[i][ti], rank[j][tj], rank[i][tj], rank[ti][j]
+    return rank[ti][tj], min(x, y), max(x, y), min(u, w), max(u, w)
+
+
+def _quasi_terms(rank, v, i, j):
+    ri = rank[i]
+    return rank[v[i]][v[j]], max(ri[j], ri[v[i]], rank[j][v[j]])
+
+
+def _ciric5_terms(rank, v, i, j):
+    ti, tj = v[i], v[j]
+    ri, rti = rank[i], rank[ti]
+    return rti[tj], max(ri[j], ri[ti], rank[j][tj], ri[tj], rti[j])
+
+
+def _domination_terms(rank, n, v, i, j):
+    return rank[v[n + i]][v[n + j]], rank[v[i]][v[j]]
+
+
+def _saluja_terms(rank, n, v, u, q):
+    base = rank[v[n + u]][v[n + q]]
+    return (rank[v[u]][v[q]], base), base
+
+
 def _contraction_terms(space: DigitalMetricSpace, f: SelfMap) -> Callable:
     """(level of d(fx, fy), level of d(x, y)) by position."""
     r, v = space.rank, _positions(space, f)
@@ -245,38 +278,21 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
         raise ValueError("coefficients must be nonnegative")
     if a + b >= Fraction(1, 2):
         raise ValueError(f"need a + b < 1/2, got {a + b}")
-    r, v = space.rank, _positions(space, t)
-
-    def terms(i, j):
-        ti, tj = v[i], v[j]
-        x, y, u, w = r[i][ti], r[j][tj], r[i][tj], r[ti][j]
-        return r[ti][tj], min(x, y), max(x, y), min(u, w), max(u, w)
-
+    terms = partial(_kannan_terms, space.rank, _positions(space, t))
     return _scan(space, terms, _verdicts(space, _kannan_bound, a, b), False).report(space)
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
     r = _unit_fraction(r, "r")
-    rank, v = space.rank, _positions(space, t)
-
-    def terms(i, j):
-        ri = rank[i]
-        return rank[v[i]][v[j]], max(ri[j], ri[v[i]], rank[j][v[j]])
-
+    terms = partial(_quasi_terms, space.rank, _positions(space, t))
     return _scan(space, terms, _verdicts(space, _bound, r), minimal).report(space)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
     r = _unit_fraction(r, "r")
-    rank, v = space.rank, _positions(space, t)
-
-    def terms(i, j):
-        ti, tj = v[i], v[j]
-        ri, rti = rank[i], rank[ti]
-        return rti[tj], max(ri[j], ri[ti], rank[j][tj], ri[tj], rti[j])
-
+    terms = partial(_ciric5_terms, space.rank, _positions(space, t))
     return _scan(space, terms, _verdicts(space, _bound, r), minimal).report(space)
 
 
@@ -287,9 +303,9 @@ def check_pair_domination(
     rho = _unit_fraction(rho, "rho")
     if g.domain != h.domain:
         raise ValueError("both maps must share one domain")
-    r, gv, hv = space.rank, _positions(space, g), _positions(space, h)
-    holds = _verdicts(space, _bound, rho)
-    scan = _scan(space, lambda i, j: (r[hv[i]][hv[j]], r[gv[i]][gv[j]]), holds, minimal)
+    table = _positions(space, g) + _positions(space, h)
+    terms = partial(_domination_terms, space.rank, len(space), table)
+    scan = _scan(space, terms, _verdicts(space, _bound, rho), minimal)
     return PairDominationReport(scan.report(space), h.image_set <= g.image_set)
 
 
@@ -305,12 +321,8 @@ def check_saluja(
     xi = _unit_fraction(xi, "xi")
     if j.domain != k.domain:
         raise ValueError("both maps must share one domain")
-    r, jv, kv = space.rank, _positions(space, j), _positions(space, k)
-
-    def terms(u, q):
-        base = r[kv[u]][kv[q]]
-        return (r[jv[u]][jv[q]], base), base
-
+    table = _positions(space, j) + _positions(space, k)
+    terms = partial(_saluja_terms, space.rank, len(space), table)
     scan = _scan(space, terms, _verdicts(space, _bound, xi), minimal)
     return ConstancyReport(scan.report(space), j.is_constant, k.is_constant)
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .space import DigitalImage, Point, adjacent, as_point, fmt_point
 
@@ -280,18 +280,38 @@ def accumulation_points(report: OrbitReport) -> tuple[Point, ...]:
     raise ValueError("a truncated orbit has no known accumulation points")
 
 
+def _check_map_budget(n: int) -> None:
+    if n**n > MAP_ENUM_BUDGET:
+        raise EnumerationBudgetError(
+            f"{n}^{n} self-maps exceed the enumeration budget of {MAP_ENUM_BUDGET}"
+        )
+
+
 def enumerate_selfmaps(img: DigitalImage) -> Iterator[SelfMap]:
     """All total self-maps, lexicographic by value table.
 
     Raises EnumerationBudgetError when |X|^|X| exceeds the desk budget.
     """
-    n = len(img)
-    if n**n > MAP_ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"{n}^{n} self-maps exceed the enumeration budget of {MAP_ENUM_BUDGET}"
-        )
-    for values in itertools.product(img.points, repeat=n):
+    _check_map_budget(len(img))
+    for values in itertools.product(img.points, repeat=len(img)):
         yield SelfMap(img, values)
+
+
+def enumerate_tables(n: int, length: int, accept: Callable) -> Iterator[list[int]]:
+    """Int tables of `length` entries in range(n), depth first, in the order
+    of itertools.product; one list, filled in place.  After each new entry
+    k, accept(table, k) says whether a wanted table may start with
+    table[:k + 1] (reading no later entry); if not, its subtree is skipped."""
+    table, k = [-1] * length, 0
+    while k >= 0:
+        table[k] += 1
+        if table[k] == n:
+            table[k], k = -1, k - 1
+        elif accept(table, k):
+            if k == length - 1:
+                yield table
+            else:
+                k += 1
 
 
 class FppVerdict(NamedTuple):
@@ -301,14 +321,24 @@ class FppVerdict(NamedTuple):
     counterexample: SelfMap | None
 
 
+def _fpp_prefix(img: DigitalImage, restrict_continuous: bool) -> Callable:
+    """Prefix constraint of a fixed-point-free (if restricted, continuous) map."""
+    near = [{img.index[q] for q in img.neighbors(p)} | {i} for i, p in enumerate(img.points)]
+    earlier = [[j for j in s if j < i] if restrict_continuous else () for i, s in enumerate(near)]
+    return lambda table, k: table[k] != k and all(table[k] in near[table[j]] for j in earlier[k])
+
+
 def has_fpp(img: DigitalImage, restrict_continuous: bool = True) -> FppVerdict:
-    """Decide the fixed-point property by exhausting all self-maps.
+    """Decide the fixed-point property by a depth-first search over value
+    tables, skipping each prefix with a fixed point (or a broken edge).
 
     With restrict_continuous the quantifier runs over digitally
     continuous maps only.  The witness, when one exists, is the
     lexicographically first fixed-point-free map.
     """
-    for f in enumerate_selfmaps(img):
+    _check_map_budget(len(img))
+    for table in enumerate_tables(len(img), len(img), _fpp_prefix(img, restrict_continuous)):
+        f = SelfMap(img, tuple(map(img.points.__getitem__, table)))
         if restrict_continuous and not is_continuous(f):
             continue
         if not fixed_points(f):

@@ -12,6 +12,7 @@ re-runs both predicates from scratch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -19,11 +20,13 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import contracts, fixpoint, mapkit
+from .contracts import _ciric5_terms, _domination_terms, _quasi_terms, _saluja_terms
 from .mapkit import (
     EnumerationBudgetError,
     MAP_ENUM_BUDGET,
     SelfMap,
     enumerate_selfmaps,
+    enumerate_tables,
     fixed_points,
     validate_selfmap,
 )
@@ -97,14 +100,41 @@ def _alternating_limits_are_unique_common_fix(space, maps) -> bool:
 
 @dataclass(frozen=True)
 class _Assertion:
-    """A searchable claim: hypothesis and conclusion predicates."""
+    """A searchable claim: hypothesis, conclusion, and what prunes its search."""
 
     key: str
     arity: int
     param: str | None
     hypothesis: Callable
     conclusion: Callable
+    terms: Callable | None = None  # the checker's level key by pair
+    within: bool = False  # the second map's values lie among the first's
+    increasing: bool = False  # each map's entries rise
     one_dimensional_only: bool = False
+
+    def prefix(self, space: DigitalMetricSpace, value) -> Callable:
+        """accept(table, k) for enumerate_tables: necessary conditions of the hypothesis."""
+        if self.terms is None:
+            return lambda table, k: True
+        n, rank = len(space), space.rank
+        # A two-map key also takes n, the start of the second map's positions.
+        key = functools.partial(self.terms, *((rank, n) if self.arity == 2 else (rank,)))
+        holds = contracts._verdicts(space, contracts._bound, value)
+
+        def accept(table, k):
+            if self.increasing and k % n and table[k - 1] >= table[k]:
+                return False
+            # A value is one of G's iff it first occurs among G's entries (so
+            # G's own entries pass).
+            if self.within and table.index(table[k]) >= n:
+                return False
+            # The pairs of the new entry with the earlier ones of its map (none
+            # for an entry of G in a two-map table), by the checker's level key
+            # and verdict memo.
+            q = k - len(table) + n
+            return all(holds[key(table, i, q)] for i in range(q + 1))
+
+        return accept
 
 
 def _hyp_quasi(space, maps, r):
@@ -152,25 +182,33 @@ def _concl_compatible(space, maps) -> bool:
 ASSERTIONS: dict[str, _Assertion] = {
     a.key: a
     for a in (
-        _Assertion("quasi-fixed-point", 1, "r", _hyp_quasi, _has_fix),
-        _Assertion("five-term-fixed-point", 1, "r", _hyp_five_term, _has_fix),
+        _Assertion("quasi-fixed-point", 1, "r", _hyp_quasi, _has_fix, _quasi_terms),
+        _Assertion("five-term-fixed-point", 1, "r", _hyp_five_term, _has_fix, _ciric5_terms),
         _Assertion(
             "dominated-common-fix-with-range",
             2,
             "rho",
             _hyp_dominated_with_range,
             _unique_common_fix,
+            _domination_terms,
+            within=True,
         ),
-        _Assertion("dominated-common-fix", 2, "rho", _hyp_dominated, _unique_common_fix),
+        _Assertion(
+            "dominated-common-fix", 2, "rho", _hyp_dominated, _unique_common_fix, _domination_terms
+        ),
         _Assertion(
             "dominated-monotone-compatible",
             2,
             "rho",
             _hyp_dominated_monotone,
             _concl_compatible,
+            _domination_terms,
+            increasing=True,
             one_dimensional_only=True,
         ),
-        _Assertion("sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _some_common_fix),
+        _Assertion(
+            "sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _some_common_fix, _saluja_terms
+        ),
         _Assertion(
             "rational-alternating-common-fix",
             2,
@@ -214,9 +252,10 @@ class SearchOutcome:
         )
 
 
+@functools.cache
 def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
-    """The deterministic scan universe: digital intervals [0, n-1]_Z,
-    then rectangular grids in Z^2 under c_1 and c_2, sizes ascending."""
+    """The deterministic scan universe, built once: digital intervals
+    [0, n-1]_Z, then rectangular grids in Z^2 under c_1 and c_2."""
     images = [digital_interval(0, n - 1) for n in range(1, size_bound + 1)]
     if not one_dimensional_only:
         for a in range(2, size_bound + 1):
@@ -235,6 +274,9 @@ def find_counterexample(
 ) -> SearchOutcome:
     """Scan every space/metric/parameter/map combination up to
     size_bound for a hypothesis-true, conclusion-false instance.
+
+    Map tables run depth first in lexicographic order, skipping each
+    prefix the assertion rejects; instances_scanned counts those too.
 
     Deterministic: the first witness in scan order is returned.  Raises
     EnumerationBudgetError if some space in range would exceed the map
@@ -266,34 +308,33 @@ def find_counterexample(
             raise EnumerationBudgetError(f"{n}-point space exceeds the map budget")
         if spec.arity == 2 and (n**n) ** 2 > PAIR_ENUM_BUDGET:
             raise EnumerationBudgetError(f"{n}-point space exceeds the pair budget")
+        built = functools.cache(lambda t: SelfMap(img, tuple(map(img.points.__getitem__, t))))
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
             for value in grid:
-                if spec.arity == 1:
-                    candidates = ((f,) for f in enumerate_selfmaps(img))
-                else:
-                    candidates = enumerate_map_pairs(img)
-                for maps in candidates:
-                    scanned += 1
+                for table in enumerate_tables(n, spec.arity * n, spec.prefix(space, value)):
+                    maps = tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
                     if not spec.hypothesis(space, maps, value):
                         continue
                     hits += 1
                     if not spec.conclusion(space, maps):
+                        rank = functools.reduce(lambda r, v: r * n + v, table)
                         return SearchOutcome(
                             assertion,
                             COUNTEREXAMPLE,
                             size_bound,
                             tuple(v for v in grid if v is not None),
                             space=space,
-                            maps=tuple(maps),
+                            maps=maps,
                             param=value,
                             stats={
-                                "instances_scanned": scanned,
+                                "instances_scanned": scanned + rank + 1,
                                 "hypothesis_hits": hits,
                                 "space_metric_combinations": spaces,
                             },
                         )
+                scanned += n ** (spec.arity * n)
     return SearchOutcome(
         assertion,
         EXHAUSTED,

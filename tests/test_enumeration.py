@@ -1,0 +1,130 @@
+"""The depth-first table enumerator, its prefix constraints, and the work
+it saves.
+
+A prefix constraint may only reject a prefix that no wanted table
+completes; the soundness tests check that against brute force over every
+completion.  The work counts pin how much the pruning skips, with no
+timing asserts.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+
+from digitop import contracts, mapkit
+from digitop.mapkit import (
+    SelfMap,
+    _fpp_prefix,
+    enumerate_tables,
+    fixed_points,
+    has_fpp,
+    is_continuous,
+)
+from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace
+from digitop.search import (
+    ASSERTIONS,
+    DEFAULT_PARAM_GRID,
+    EXHAUSTED,
+    find_counterexample,
+    small_connected_images,
+)
+from digitop.space import C2, DigitalImage
+
+
+def test_an_accepting_search_visits_the_product_in_order():
+    tables = [tuple(t) for t in enumerate_tables(3, 4, lambda table, k: True)]
+    assert tables == list(itertools.product(range(3), repeat=4))
+
+
+def test_a_rejected_prefix_loses_its_whole_subtree():
+    visited = []
+
+    def accept(table, k):
+        visited.append(tuple(table[: k + 1]))
+        return table[:2] != [0, 1]
+
+    tables = [tuple(t) for t in enumerate_tables(2, 3, accept)]
+    assert tables == [t for t in itertools.product(range(2), repeat=3) if t[:2] != (0, 1)]
+    assert (0, 1, 0) not in visited and (0, 1, 1) not in visited
+
+
+def table_maps(img, table, arity):
+    """The maps of a table of value positions, one map after the other."""
+    n, pts = len(img), img.points
+    starts = range(0, arity * n, n)
+    return tuple(SelfMap(img, tuple(pts[v] for v in table[a : a + n])) for a in starts)
+
+
+def assert_sound(accept, n, length, wanted):
+    """Every prefix accept rejects has no completion that `wanted` holds on."""
+    prefixes = {table[:m] for table in wanted for m in range(1, length + 1)}
+    for m in range(1, length + 1):
+        for prefix in itertools.product(range(n), repeat=m):
+            # Entries past the prefix are junk: the constraint must not read them.
+            table = list(prefix) + [n] * (length - m)
+            if not accept(table, m - 1):
+                assert prefix not in prefixes, prefix
+
+
+PRUNED = [key for key, spec in ASSERTIONS.items() if spec.terms is not None]
+SPACES = [
+    DigitalMetricSpace(img, metric)
+    for img in small_connected_images(3)
+    for metric in (L1, L2, SHORTEST_PATH)
+]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+@pytest.mark.parametrize("assertion", PRUNED)
+def test_prefix_constraints_reject_no_hypothesis_true_table(assertion, space):
+    spec = ASSERTIONS[assertion]
+    n = len(space)
+    length = spec.arity * n
+    tables = list(itertools.product(range(n), repeat=length))
+    maps = [table_maps(space.image, t, spec.arity) for t in tables]
+    for value in DEFAULT_PARAM_GRID:
+        wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
+        assert_sound(spec.prefix(space, value), n, length, wanted)
+
+
+@pytest.mark.parametrize("restrict_continuous", (True, False), ids=("continuous", "all-maps"))
+@pytest.mark.parametrize("img", small_connected_images(4), ids=lambda img: img.describe())
+def test_fpp_prefix_rejects_no_fixed_point_free_map(img, restrict_continuous):
+    n = len(img)
+    wanted = []
+    for t in itertools.product(range(n), repeat=n):
+        (f,) = table_maps(img, t, 1)
+        if not fixed_points(f) and (is_continuous(f) or not restrict_continuous):
+            wanted.append(t)
+    assert_sound(_fpp_prefix(img, restrict_continuous), n, n, wanted)
+
+
+def counting(calls: Counter, name: str, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_the_monotone_exhaustion_decides_few_tables(monkeypatch):
+    calls = Counter()
+    check = contracts.check_pair_domination
+    monkeypatch.setattr(contracts, "check_pair_domination", counting(calls, "domination", check))
+    outcome = find_counterexample("dominated-monotone-compatible", 4)
+    assert outcome.status == EXHAUSTED
+    assert outcome.stats["instances_scanned"] == 596_538
+    assert outcome.stats["hypothesis_hits"] == 9
+    assert 0 < calls["domination"] < 1000
+
+
+def test_has_fpp_builds_few_maps(monkeypatch):
+    calls = Counter()
+    post_init = SelfMap.__post_init__
+    monkeypatch.setattr(mapkit.SelfMap, "__post_init__", counting(calls, "selfmap", post_init))
+    img = DigitalImage([(i, j) for i in range(2) for j in range(3)], C2)
+    verdict = has_fpp(img)
+    assert not verdict.holds
+    assert verdict.counterexample.values[:2] == ((0, 1), (0, 0))
+    assert 0 < calls["selfmap"] < 100
