@@ -83,7 +83,6 @@ from .search import (
     SuiteReport,
     enumerate_map_pairs,
     find_counterexample,
-    sample_maps,
     small_connected_images,
     verify_paper_suite,
 )

@@ -335,16 +335,6 @@ def exact_div(num, den):
     return num / den
 
 
-def exact_max(values, tol: Fraction | None = None):
-    """Maximum under :func:`compare`; values must be non-empty."""
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if compare(v, best, tol) > 0:
-            best = v
-    return best
-
-
 def value_str(value) -> str:
     """Human-readable rendering: '3', '1/2', 'sqrt(2)', '1.259921...'."""
     if isinstance(value, (int, Fraction, RadicalSum)):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -53,15 +52,6 @@ def enumerate_map_pairs(img: DigitalImage) -> Iterator[tuple[SelfMap, SelfMap]]:
         )
     maps = list(enumerate_selfmaps(img))
     return itertools.product(maps, maps)
-
-
-def sample_maps(img: DigitalImage, count: int, seed: int) -> tuple[SelfMap, ...]:
-    """Deterministic pseudo-random self-maps for property probing."""
-    rng = random.Random(seed)
-    pts = img.points
-    return tuple(
-        SelfMap(img, tuple(rng.choice(pts) for _ in pts)) for _ in range(count)
-    )
 
 
 def _strictly_increasing_1d(f: SelfMap) -> bool:
@@ -120,21 +110,44 @@ class _Assertion:
         # A two-map key also takes n, the start of the second map's positions.
         key = functools.partial(self.terms, *((rank, n) if self.arity == 2 else (rank,)))
         holds = contracts._verdicts(space, contracts._bound, value)
+        return _prefix(key, holds, n, self.increasing, self.within)
 
-        def accept(table, k):
-            if self.increasing and k % n and table[k - 1] >= table[k]:
-                return False
-            # A value is one of G's iff it first occurs among G's entries (so
-            # G's own entries pass).
-            if self.within and table.index(table[k]) >= n:
-                return False
-            # The pairs of the new entry with the earlier ones of its map (none
-            # for an entry of G in a two-map table), by the checker's level key
-            # and verdict memo.
-            q = k - len(table) + n
-            return all(holds[key(table, i, q)] for i in range(q + 1))
 
-        return accept
+def _prefix(key: Callable, holds, n: int, increasing=False, within=False) -> Callable:
+    """accept(table, k) for enumerate_tables from a checker's level key by
+    pair, key(table, i, q), and its verdict memo: the new entry's pairs hold."""
+
+    def accept(table, k):
+        if increasing and k % n and table[k - 1] >= table[k]:
+            return False
+        # A value is one of G's iff it first occurs among G's entries (so
+        # G's own entries pass).
+        if within and table.index(table[k]) >= n:
+            return False
+        # The pairs of the new entry with the earlier ones of its map (none
+        # for an entry of G in a two-map table); every condition here is
+        # symmetric in the pair.
+        q = k - len(table) + n
+        return all(holds[key(table, i, q)] for i in range(q + 1))
+
+    return accept
+
+
+def _strictly_below(ar, levels, key) -> bool:
+    """Banach's k < 1 on a pair: d(fx, fy) below d(x, y), or x = y."""
+    return key[0] < key[1] or key[1] == 0
+
+
+def _contraction_prefix(space: DigitalMetricSpace) -> Callable:
+    """Prefix constraint of banach_verify's hypothesis, minimal constant < 1."""
+    rank, holds = space.rank, contracts._verdicts(space, _strictly_below)
+    return _prefix(lambda v, i, q: (rank[v[i]][v[q]], rank[i][q]), holds, len(space))
+
+
+def _kannan_prefix(space: DigitalMetricSpace, a, b) -> Callable:
+    """Prefix constraint of check_kannan's inequality under (a, b)."""
+    holds = contracts._verdicts(space, contracts._kannan_bound, a, b)
+    return _prefix(functools.partial(contracts._kannan_terms, space.rank), holds, len(space))
 
 
 def _hyp_quasi(space, maps, r):
@@ -390,47 +403,57 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _suite_contraction() -> SuiteEntry:
+_TALLY = {
+    fixpoint.CONFIRMS: "confirmed",
+    fixpoint.HYPOTHESIS_FAILS: "hypothesis_failed",
+    fixpoint.REFUTES: "refuted",
+}
+
+
+def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
+    """Fresh spaces on the intervals of these sizes, under each scan metric."""
+    images = [digital_interval(0, n - 1) for n in sizes]
+    return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
+
+
+def _sweep(space: DigitalMetricSpace, arity: int, accept: Callable) -> Iterator[tuple]:
+    """The maps of each table of `arity` maps that accept admits, in the
+    order of the product scan."""
+    img, n = space.image, len(space)
+    for table in enumerate_tables(n, arity * n, accept):
+        per_map = (table[a : a + n] for a in range(0, len(table), n))
+        yield tuple(SelfMap(img, tuple(map(img.points.__getitem__, t))) for t in per_map)
+
+
+def _theorem_sweep(name: str, spaces, grid, prefix: Callable, verify: Callable) -> SuiteEntry:
+    """Tally verify(space, f, *coeffs) over every self-map f of each space,
+    for each coefficient tuple of grid.  Only the maps that prefix(space,
+    *coeffs) admits are verified; each table it prunes fails the hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
-    for n in (3, 4):
-        img = digital_interval(0, n - 1)
-        for metric in _METRICS:
-            space = DigitalMetricSpace(img, metric)
-            for f in enumerate_selfmaps(img):
-                rep = fixpoint.banach_verify(space, f)
-                if rep.conclusion == fixpoint.CONFIRMS:
-                    counts["confirmed"] += 1
-                elif rep.conclusion == fixpoint.HYPOTHESIS_FAILS:
-                    counts["hypothesis_failed"] += 1
-                else:
-                    counts["refuted"] += 1
-    return SuiteEntry("contraction-theorem-exhaustive", counts["refuted"] == 0, counts)
+    for space in spaces:
+        for coeffs in grid:
+            survivors = 0
+            for (f,) in _sweep(space, 1, prefix(space, *coeffs)):
+                survivors += 1
+                counts[_TALLY[verify(space, f, *coeffs).conclusion]] += 1
+            counts["hypothesis_failed"] += len(space) ** len(space) - survivors
+    return SuiteEntry(name, counts["refuted"] == 0, counts)
 
 
-_KANNAN_GRID = tuple(
-    (a, b)
-    for a in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
-    for b in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
-    if a + b < Fraction(1, 2)
-)
+def _suite_contraction(spaces) -> SuiteEntry:
+    return _theorem_sweep(
+        "contraction-theorem-exhaustive", spaces, [()], _contraction_prefix, fixpoint.banach_verify
+    )
 
 
-def _suite_two_coefficient() -> SuiteEntry:
-    counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
-    for n in (3, 4):
-        img = digital_interval(0, n - 1)
-        for metric in _METRICS:
-            space = DigitalMetricSpace(img, metric)
-            for f in enumerate_selfmaps(img):
-                for a, b in _KANNAN_GRID:
-                    rep = fixpoint.kannan_verify(space, f, a, b)
-                    if rep.conclusion == fixpoint.CONFIRMS:
-                        counts["confirmed"] += 1
-                    elif rep.conclusion == fixpoint.HYPOTHESIS_FAILS:
-                        counts["hypothesis_failed"] += 1
-                    else:
-                        counts["refuted"] += 1
-    return SuiteEntry("two-coefficient-theorem-exhaustive", counts["refuted"] == 0, counts)
+_EIGHTHS = tuple(Fraction(i, 8) for i in range(4))
+_KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fraction(1, 2))
+
+
+def _suite_two_coefficient(spaces, grid=_KANNAN_GRID) -> SuiteEntry:
+    return _theorem_sweep(
+        "two-coefficient-theorem-exhaustive", spaces, grid, _kannan_prefix, fixpoint.kannan_verify
+    )
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:
@@ -510,20 +533,17 @@ def _suite_rational_ill_definedness() -> SuiteEntry:
     return SuiteEntry("rational-condition-ill-definedness", ok, evidence)
 
 
-def _suite_sum_bound_constancy() -> SuiteEntry:
-    xi = Fraction(1, 2)
+def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
     holding = 0
     all_constant = True
-    for n in (1, 2, 3):
-        img = digital_interval(0, n - 1)
-        for metric in _METRICS:
-            space = DigitalMetricSpace(img, metric)
-            for j, k in enumerate_map_pairs(img):
-                rep = contracts.check_saluja(space, j, k, xi, minimal=False)
-                if rep.condition.holds:
-                    holding += 1
-                    if not (j.is_constant and k.is_constant):
-                        all_constant = False
+    for space in spaces:
+        prefix = ASSERTIONS["sum-bound-common-fix"].prefix(space, xi)
+        for j, k in _sweep(space, 2, prefix):
+            rep = contracts.check_saluja(space, j, k, xi, minimal=False)
+            if rep.condition.holds:
+                holding += 1
+                if not (j.is_constant and k.is_constant):
+                    all_constant = False
     img = digital_interval(0, 1)
     space = DigitalMetricSpace(img, L2)
     j = SelfMap.constant(img, 0)
@@ -580,16 +600,17 @@ def verify_paper_suite() -> SuiteReport:
     Deterministic: two runs produce identical reports.  Failures are
     report content, never exceptions.
     """
+    intervals = _interval_spaces(3, 4)
     return SuiteReport(
         (
-            _suite_contraction(),
-            _suite_two_coefficient(),
+            _suite_contraction(intervals),
+            _suite_two_coefficient(intervals),
             _probe_entry("quasi-fixed-point-probe", "quasi-fixed-point"),
             _probe_entry("five-term-fixed-point-probe", "five-term-fixed-point"),
             _suite_affine_counterexample(),
             _suite_compatibility(),
             _suite_rational_ill_definedness(),
-            _suite_sum_bound_constancy(),
+            _suite_sum_bound_constancy(_interval_spaces(1, 2, 3)),
             _suite_non_integer_rejection(),
             _suite_fpp(),
         )

@@ -9,10 +9,11 @@ timing asserts.
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from digitop import contracts, mapkit
+from digitop import contracts, fixpoint, mapkit
 from digitop.mapkit import (
     SelfMap,
     _fpp_prefix,
@@ -23,13 +24,16 @@ from digitop.mapkit import (
 )
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace
 from digitop.search import (
+    _KANNAN_GRID,
     ASSERTIONS,
     DEFAULT_PARAM_GRID,
     EXHAUSTED,
+    _contraction_prefix,
+    _kannan_prefix,
     find_counterexample,
     small_connected_images,
 )
-from digitop.space import C2, DigitalImage
+from digitop.space import C2, DigitalImage, digital_interval
 
 
 def test_an_accepting_search_visits_the_product_in_order():
@@ -86,6 +90,34 @@ def test_prefix_constraints_reject_no_hypothesis_true_table(assertion, space):
     for value in DEFAULT_PARAM_GRID:
         wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
         assert_sound(spec.prefix(space, value), n, length, wanted)
+
+
+# The suite's theorem sweeps run on the intervals of 3 and 4 points; the
+# former are among SPACES already.
+THEOREM_SPACES = SPACES + [
+    DigitalMetricSpace(digital_interval(0, 3), metric) for metric in (L1, L2, SHORTEST_PATH)
+]
+
+
+def self_maps(space):
+    n = len(space)
+    tables = list(itertools.product(range(n), repeat=n))
+    return tables, [table_maps(space.image, t, 1)[0] for t in tables]
+
+
+@pytest.mark.parametrize("space", THEOREM_SPACES, ids=repr)
+def test_the_contraction_prefix_rejects_no_hypothesis_true_map(space):
+    tables, maps = self_maps(space)
+    wanted = [t for t, f in zip(tables, maps) if fixpoint.banach_verify(space, f).hypothesis.holds]
+    assert_sound(_contraction_prefix(space), len(space), len(space), wanted)
+
+
+@pytest.mark.parametrize("space", THEOREM_SPACES, ids=repr)
+@pytest.mark.parametrize("a, b", _KANNAN_GRID + ((Fraction(1, 5), Fraction(1, 4)),), ids=str)
+def test_the_kannan_prefix_rejects_no_hypothesis_true_map(space, a, b):
+    tables, maps = self_maps(space)
+    wanted = [t for t, f in zip(tables, maps) if contracts.check_kannan(space, f, a, b).holds]
+    assert_sound(_kannan_prefix(space, a, b), len(space), len(space), wanted)
 
 
 @pytest.mark.parametrize("restrict_continuous", (True, False), ids=("continuous", "all-maps"))

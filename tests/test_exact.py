@@ -17,7 +17,6 @@ from digitop.exact import (
     exact_div,
     exact_le,
     exact_lt,
-    exact_max,
     is_exact,
     sqrt_exact,
     square_free_decompose,
@@ -197,11 +196,9 @@ def test_compare_inexact_requires_tolerance():
     assert compare(0.5 + 1e-6, Fraction(1, 2), tol) == 1
 
 
-def test_exact_le_lt_max():
+def test_exact_le_lt():
     assert exact_le(SQRT2, SQRT2)
     assert not exact_lt(SQRT2, SQRT2)
-    assert exact_max([1, SQRT2, Fraction(4, 3)]) == SQRT2
-    assert exact_max([3, SQRT2]) == 3
 
 
 def test_exact_div_never_makes_floats():

@@ -36,7 +36,6 @@ from digitop.search import (
     SearchOutcome,
     enumerate_map_pairs,
     find_counterexample,
-    sample_maps,
     small_connected_images,
     verify_paper_suite,
 )
@@ -57,16 +56,6 @@ def test_pair_enumeration_budget():
     list(enumerate_map_pairs(digital_interval(0, 3)))
     with pytest.raises(EnumerationBudgetError):
         enumerate_map_pairs(digital_interval(0, 4))
-
-
-def test_sample_maps_deterministic_per_seed():
-    img = digital_interval(0, 2)
-    a = sample_maps(img, 6, seed=11)
-    b = sample_maps(img, 6, seed=11)
-    assert [m.values for m in a] == [m.values for m in b]
-    assert all(isinstance(m, SelfMap) for m in a)
-    c = sample_maps(img, 6, seed=12)
-    assert [m.values for m in a] != [m.values for m in c]
 
 
 def test_scan_universe_shapes():
