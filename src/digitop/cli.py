@@ -77,6 +77,19 @@ def _finite_space(doc: ParsedDocument):
     return doc.space
 
 
+def _affine_report(args, payload: dict, m: AffineMapZ) -> int:
+    """The fixed points of an affine map, for check-map and fix alike."""
+    fx = mapkit.affine_analyze(m)
+    payload["fixed_points"] = {"kind": fx.kind, "point": fx.point}
+    shown = fx.kind if fx.point is None else f"{fx.kind} ({fx.point})"
+    _emit(args, payload, [f"map {payload['map']}: {m}", f"fixed points: {shown}"])
+    return 0
+
+
+def _fixes_line(fixes) -> str:
+    return "fixed points: " + (", ".join(fmt_point(p) for p in fixes) if fixes else "(none)")
+
+
 # -- subcommand handlers ---------------------------------------------
 
 
@@ -85,20 +98,8 @@ def _cmd_check_map(args, parser) -> int:
     name = _require_map(args, parser)
     m = doc.get_map(name)
     if isinstance(m, AffineMapZ):
-        fx = mapkit.affine_analyze(m)
-        payload = {
-            "command": "check-map",
-            "map": name,
-            "affine": {"p": m.p, "q": m.q},
-            "fixed_points": {"kind": fx.kind, "point": fx.point},
-        }
-        lines = [
-            f"map {name}: {m}",
-            f"fixed points: {fx.kind}"
-            + (f" ({fx.point})" if fx.point is not None else ""),
-        ]
-        _emit(args, payload, lines)
-        return 0
+        payload = {"command": "check-map", "map": name, "affine": {"p": m.p, "q": m.q}}
+        return _affine_report(args, payload, m)
     violation = continuity_violation(m)
     fixes = fixed_points(m)
     payload = {
@@ -117,10 +118,7 @@ def _cmd_check_map(args, parser) -> int:
     else:
         x, y = violation
         lines.append(f"continuous: no (edge {fmt_point(x)} ~ {fmt_point(y)})")
-    lines.append(
-        "fixed points: "
-        + (", ".join(fmt_point(p) for p in fixes) if fixes else "(none)")
-    )
+    lines.append(_fixes_line(fixes))
     _emit(args, payload, lines)
     return 0
 
@@ -254,22 +252,7 @@ def _cmd_fix(args, parser) -> int:
     name = _require_map(args, parser)
     m = doc.get_map(name)
     if isinstance(m, AffineMapZ):
-        fx = mapkit.affine_analyze(m)
-        payload = {
-            "command": "fix",
-            "map": name,
-            "fixed_points": {"kind": fx.kind, "point": fx.point},
-        }
-        _emit(
-            args,
-            payload,
-            [
-                f"map {name}: {m}",
-                "fixed points: "
-                + (fx.kind if fx.point is None else f"{fx.kind} ({fx.point})"),
-            ],
-        )
-        return 0
+        return _affine_report(args, {"command": "fix", "map": name}, m)
     second = doc.get_map(args.map2) if args.map2 else None
 
     def run(start):
@@ -291,11 +274,7 @@ def _cmd_fix(args, parser) -> int:
         "fixed_points": [_point_json(p) for p in fixes],
         "orbits": [_orbit_json(r) for r in reps],
     }
-    lines = [
-        "fixed points: "
-        + (", ".join(fmt_point(p) for p in fixes) if fixes else "(none)")
-    ]
-    lines += [_orbit_text(r) for r in reps]
+    lines = [_fixes_line(fixes)] + [_orbit_text(r) for r in reps]
     _emit(args, payload, lines)
     return 0
 

@@ -222,6 +222,10 @@ def _scan(space: DigitalMetricSpace, terms: Callable, holds, minimal: bool = Tru
 # positions; a two-map table is the first map's n followed by the second's.
 
 
+def _contraction_terms(rank, v, i, j):
+    return rank[v[i]][v[j]], rank[i][j]
+
+
 def _kannan_terms(rank, v, i, j):
     ti, tj = v[i], v[j]
     x, y, u, w = rank[i][ti], rank[j][tj], rank[i][tj], rank[ti][j]
@@ -248,22 +252,17 @@ def _saluja_terms(rank, n, v, u, q):
     return (rank[v[u]][v[q]], base), base
 
 
-def _contraction_terms(space: DigitalMetricSpace, f: SelfMap) -> Callable:
-    """(level of d(fx, fy), level of d(x, y)) by position."""
-    r, v = space.rank, _positions(space, f)
-    return lambda i, j: (r[v[i]][v[j]], r[i][j])
-
-
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
     k = _unit_fraction(k, "k")
-    scan = _scan(space, _contraction_terms(space, f), _verdicts(space, _bound, k), minimal)
-    return scan.report(space)
+    terms = partial(_contraction_terms, space.rank, _positions(space, f))
+    return _scan(space, terms, _verdicts(space, _bound, k), minimal).report(space)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
     """Least k with d(fx, fy) <= k * d(x, y) everywhere; 0 on singletons."""
-    return _scan(space, _contraction_terms(space, f), None).constant
+    terms = partial(_contraction_terms, space.rank, _positions(space, f))
+    return _scan(space, terms, None).constant
 
 
 def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .contracts import ConditionReport, _Arith, _contraction_terms, _scan, check_kannan
+from .contracts import ConditionReport, _Arith, _contraction_terms, _positions, _scan, check_kannan
 from .mapkit import (
     EVENTUALLY_CONSTANT,
     EVENTUALLY_PERIODIC,
@@ -127,7 +128,7 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
     the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
     """
     ar = _Arith(space)
-    scan = _scan(space, _contraction_terms(space, f), None)
+    scan = _scan(space, partial(_contraction_terms, space.rank, _positions(space, f)), None)
     k_min = scan.constant
     holds = ar.below_one(k_min)
     hypothesis = ConditionReport(

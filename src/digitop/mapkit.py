@@ -322,7 +322,10 @@ class FppVerdict(NamedTuple):
 
 
 def _fpp_prefix(img: DigitalImage, restrict_continuous: bool) -> Callable:
-    """Prefix constraint of a fixed-point-free (if restricted, continuous) map."""
+    """Prefix constraint of a fixed-point-free (if restricted, continuous)
+    map: entry k is not k and, if restricted, equals or neighbours the
+    value at each earlier neighbour of k.  Every edge is checked at its
+    later end, so a complete table is admitted exactly when it is wanted."""
     near = [{img.index[q] for q in img.neighbors(p)} | {i} for i, p in enumerate(img.points)]
     earlier = [[j for j in s if j < i] if restrict_continuous else () for i, s in enumerate(near)]
     return lambda table, k: table[k] != k and all(table[k] in near[table[j]] for j in earlier[k])
@@ -333,17 +336,15 @@ def has_fpp(img: DigitalImage, restrict_continuous: bool = True) -> FppVerdict:
     tables, skipping each prefix with a fixed point (or a broken edge).
 
     With restrict_continuous the quantifier runs over digitally
-    continuous maps only.  The witness, when one exists, is the
-    lexicographically first fixed-point-free map.
+    continuous maps only.  The prefix constraint admits exactly the
+    fixed-point-free (continuous) tables, so the first table it admits
+    is the witness: the lexicographically first such map.
     """
     _check_map_budget(len(img))
-    for table in enumerate_tables(len(img), len(img), _fpp_prefix(img, restrict_continuous)):
-        f = SelfMap(img, tuple(map(img.points.__getitem__, table)))
-        if restrict_continuous and not is_continuous(f):
-            continue
-        if not fixed_points(f):
-            return FppVerdict(False, f)
-    return FppVerdict(True, None)
+    table = next(enumerate_tables(len(img), len(img), _fpp_prefix(img, restrict_continuous)), None)
+    if table is None:
+        return FppVerdict(True, None)
+    return FppVerdict(False, SelfMap(img, tuple(map(img.points.__getitem__, table))))
 
 
 @dataclass(frozen=True)

@@ -67,14 +67,13 @@ class DiscretenessCertificate:
 class DigitalMetricSpace:
     """A digital image together with a metric.
 
-    Immutable after construction.  Distances are memoized in one table
-    indexed by canonical point position (see :meth:`index_distance`),
-    filled one entry at a time on first use; the shortest-path metric
-    also memoizes its breadth-first hop counts on first use.  The first
-    checker that asks for :attr:`levels` fills the whole table and sorts
-    its distinct values once; ``verdicts`` keeps the checkers' decisions
-    by level.  Refilling an entry under a concurrent race stores the
-    same value, so publication is safe without locking.
+    Immutable after construction.  The first of :meth:`index_distance`,
+    :attr:`levels` and :attr:`rank` to be asked computes every distance
+    once, through :meth:`distance`, into one matrix indexed by canonical
+    point position; all three read from it.  The shortest-path metric
+    also memoizes its breadth-first hop counts on first use.
+    ``verdicts`` keeps the checkers' decisions by level.  Two threads
+    racing to build the matrix store equal values, so it needs no lock.
     """
 
     def __init__(self, image: DigitalImage, metric: MetricSpec = L1):
@@ -84,7 +83,6 @@ class DigitalMetricSpace:
             raise ValueError("the shortest-path metric needs a connected image")
         self._image = image
         self._metric = metric
-        self._table: dict[tuple[int, int], object] = {}
         self.verdicts: dict = {}
 
     @property
@@ -150,26 +148,24 @@ class DigitalMetricSpace:
             )
             return mpmath.power(total, 1 / exponent)
 
+    @cached_property
+    def _matrix(self) -> tuple[tuple, ...]:
+        pts = self._image.points
+        return tuple(tuple(self.distance(x, y) for y in pts) for x in pts)
+
     def index_distance(self, i: int, j: int):
         """Distance between the points at canonical positions i and j.
 
         The index-level core behind every checker: positions are not
-        validated, and each entry is computed by :meth:`distance` on
-        first use, then read from the table.
+        validated, and the value is read from the distance matrix.
         """
-        try:
-            return self._table[i, j]
-        except KeyError:
-            pts = self._image.points
-            value = self._table[i, j] = self.distance(pts[i], pts[j])
-            return value
+        return self._matrix[i][j]
 
     @cached_property
     def levels(self) -> tuple:
         """The distinct distances, ascending: by :func:`compare` when exact,
         else by plain ``<`` on mpf values (the order that picks maxima)."""
-        n = len(self._image)
-        values = dict.fromkeys(self.index_distance(i, j) for i in range(n) for j in range(n))
+        values = dict.fromkeys(itertools.chain.from_iterable(self._matrix))
         exact = self.comparison_tolerance is None
         return tuple(sorted(values, key=cmp_to_key(compare) if exact else None))
 
@@ -177,8 +173,7 @@ class DigitalMetricSpace:
     def rank(self) -> tuple[tuple[int, ...], ...]:
         """rank[i][j]: the level of the distance between positions i and j."""
         level = {value: k for k, value in enumerate(self.levels)}
-        n = len(self._image)
-        return tuple(tuple(level[self.index_distance(i, j)] for j in range(n)) for i in range(n))
+        return tuple(tuple(map(level.__getitem__, row)) for row in self._matrix)
 
     def describe(self) -> str:
         return f"{self._image.describe()}, metric {self._metric}"

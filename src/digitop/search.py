@@ -22,7 +22,6 @@ from . import contracts, fixpoint, mapkit
 from .contracts import _ciric5_terms, _domination_terms, _quasi_terms, _saluja_terms
 from .mapkit import (
     EnumerationBudgetError,
-    MAP_ENUM_BUDGET,
     SelfMap,
     enumerate_selfmaps,
     enumerate_tables,
@@ -140,8 +139,8 @@ def _strictly_below(ar, levels, key) -> bool:
 
 def _contraction_prefix(space: DigitalMetricSpace) -> Callable:
     """Prefix constraint of banach_verify's hypothesis, minimal constant < 1."""
-    rank, holds = space.rank, contracts._verdicts(space, _strictly_below)
-    return _prefix(lambda v, i, q: (rank[v[i]][v[q]], rank[i][q]), holds, len(space))
+    holds = contracts._verdicts(space, _strictly_below)
+    return _prefix(functools.partial(contracts._contraction_terms, space.rank), holds, len(space))
 
 
 def _kannan_prefix(space: DigitalMetricSpace, a, b) -> Callable:
@@ -282,6 +281,20 @@ def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
 
 
+def _map_builder(img: DigitalImage) -> Callable:
+    """t -> the self-map with value positions t, built once per t while held."""
+    return functools.cache(lambda t: SelfMap(img, tuple(map(img.points.__getitem__, t))))
+
+
+def _sweep(space: DigitalMetricSpace, arity: int, accept: Callable, built) -> Iterator[tuple]:
+    """The maps of each table of `arity` maps that accept admits, in the
+    order of the product scan, made by built, a _map_builder of the
+    space's image."""
+    n = len(space)
+    for table in enumerate_tables(n, arity * n, accept):
+        yield tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
+
+
 def find_counterexample(
     assertion: str, size_bound: int = 3, param_grid=None
 ) -> SearchOutcome:
@@ -292,9 +305,9 @@ def find_counterexample(
     prefix the assertion rejects; instances_scanned counts those too.
 
     Deterministic: the first witness in scan order is returned.  Raises
-    EnumerationBudgetError if some space in range would exceed the map
-    or pair enumeration budget, and ValueError for unknown assertions,
-    out-of-range parameters, or size_bound > 5.
+    EnumerationBudgetError if a two-map assertion reaches a space whose
+    pairs exceed the pair enumeration budget, and ValueError for unknown
+    assertions, out-of-range parameters, or size_bound > 5.
     """
     spec = ASSERTIONS.get(assertion)
     if spec is None:
@@ -317,21 +330,19 @@ def find_counterexample(
     spaces = 0
     for img in small_connected_images(size_bound, spec.one_dimensional_only):
         n = len(img)
-        if spec.arity == 1 and n**n > MAP_ENUM_BUDGET:
-            raise EnumerationBudgetError(f"{n}-point space exceeds the map budget")
         if spec.arity == 2 and (n**n) ** 2 > PAIR_ENUM_BUDGET:
             raise EnumerationBudgetError(f"{n}-point space exceeds the pair budget")
-        built = functools.cache(lambda t: SelfMap(img, tuple(map(img.points.__getitem__, t))))
+        built = _map_builder(img)
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
             for value in grid:
-                for table in enumerate_tables(n, spec.arity * n, spec.prefix(space, value)):
-                    maps = tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
+                for maps in _sweep(space, spec.arity, spec.prefix(space, value), built):
                     if not spec.hypothesis(space, maps, value):
                         continue
                     hits += 1
                     if not spec.conclusion(space, maps):
+                        table = (v for f in maps for v in f.indices)
                         rank = functools.reduce(lambda r, v: r * n + v, table)
                         return SearchOutcome(
                             assertion,
@@ -416,24 +427,16 @@ def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
     return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
 
 
-def _sweep(space: DigitalMetricSpace, arity: int, accept: Callable) -> Iterator[tuple]:
-    """The maps of each table of `arity` maps that accept admits, in the
-    order of the product scan."""
-    img, n = space.image, len(space)
-    for table in enumerate_tables(n, arity * n, accept):
-        per_map = (table[a : a + n] for a in range(0, len(table), n))
-        yield tuple(SelfMap(img, tuple(map(img.points.__getitem__, t))) for t in per_map)
-
-
 def _theorem_sweep(name: str, spaces, grid, prefix: Callable, verify: Callable) -> SuiteEntry:
     """Tally verify(space, f, *coeffs) over every self-map f of each space,
     for each coefficient tuple of grid.  Only the maps that prefix(space,
     *coeffs) admits are verified; each table it prunes fails the hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
     for space in spaces:
+        built = _map_builder(space.image)
         for coeffs in grid:
             survivors = 0
-            for (f,) in _sweep(space, 1, prefix(space, *coeffs)):
+            for (f,) in _sweep(space, 1, prefix(space, *coeffs), built):
                 survivors += 1
                 counts[_TALLY[verify(space, f, *coeffs).conclusion]] += 1
             counts["hypothesis_failed"] += len(space) ** len(space) - survivors
@@ -538,7 +541,7 @@ def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
     all_constant = True
     for space in spaces:
         prefix = ASSERTIONS["sum-bound-common-fix"].prefix(space, xi)
-        for j, k in _sweep(space, 2, prefix):
+        for j, k in _sweep(space, 2, prefix, _map_builder(space.image)):
             rep = contracts.check_saluja(space, j, k, xi, minimal=False)
             if rep.condition.holds:
                 holding += 1

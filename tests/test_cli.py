@@ -217,6 +217,45 @@ def test_fix_alternating(two_point, capsys):
     assert out == "0 -> 1 -> 1 -> 0 -> 0: eventually periodic (period 4)\n"
 
 
+# Affine maps of Z by the kind of their fixed-point set: (p, q, point).
+AFFINE = {"none": (1, 1, None), "single": (3, 4, -2), "all": (1, 0, None)}
+
+
+@pytest.fixture
+def affine_line(tmp_path):
+    return write(
+        tmp_path,
+        "affine.json",
+        {
+            "dimension": 1,
+            "points": "Z",
+            "adjacency": {"type": "cu", "u": 1},
+            "metric": {"type": "lp", "p": 1},
+            "maps": [{"name": k, "affine": {"p": p, "q": q}} for k, (p, q, _) in AFFINE.items()],
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("none", "map none: x -> 1*x + 1\nfixed points: none\n"),
+        ("single", "map single: x -> 3*x + 4\nfixed points: single (-2)\n"),
+        ("all", "map all: x -> 1*x + 0\nfixed points: all\n"),
+    ],
+)
+def test_fix_and_check_map_on_the_integer_line(affine_line, capsys, name, text):
+    p, q, point = AFFINE[name]
+    fixes = {"kind": name, "point": point}
+    for command, extra in (("fix", {}), ("check-map", {"affine": {"p": p, "q": q}})):
+        argv = [command, "--space", affine_line, "--map", name]
+        assert run(argv, capsys) == (0, text, "")
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        payload = {"command": command, "map": name, "fixed_points": fixes, **extra}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_fix_bad_start(finite, capsys):
     code, _, err = run(
         ["fix", "--space", finite, "--map", "T", "--start", "nonsense"], capsys

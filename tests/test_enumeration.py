@@ -129,7 +129,11 @@ def test_fpp_prefix_rejects_no_fixed_point_free_map(img, restrict_continuous):
         (f,) = table_maps(img, t, 1)
         if not fixed_points(f) and (is_continuous(f) or not restrict_continuous):
             wanted.append(t)
-    assert_sound(_fpp_prefix(img, restrict_continuous), n, n, wanted)
+    accept = _fpp_prefix(img, restrict_continuous)
+    assert_sound(accept, n, n, wanted)
+    # Exact as well as sound: the complete tables it admits are the wanted
+    # ones (copied, since the enumerator reuses its list).
+    assert [tuple(t) for t in enumerate_tables(n, n, accept)] == wanted
 
 
 def counting(calls: Counter, name: str, fn):
@@ -155,8 +159,12 @@ def test_has_fpp_builds_few_maps(monkeypatch):
     calls = Counter()
     post_init = SelfMap.__post_init__
     monkeypatch.setattr(mapkit.SelfMap, "__post_init__", counting(calls, "selfmap", post_init))
+    violation = mapkit.continuity_violation
+    monkeypatch.setattr(mapkit, "continuity_violation", counting(calls, "continuity", violation))
     img = DigitalImage([(i, j) for i in range(2) for j in range(3)], C2)
     verdict = has_fpp(img)
     assert not verdict.holds
     assert verdict.counterexample.values[:2] == ((0, 1), (0, 0))
-    assert 0 < calls["selfmap"] < 100
+    # The first admitted table is the witness: one map, no re-check.
+    assert calls["selfmap"] == 1
+    assert calls["continuity"] == 0

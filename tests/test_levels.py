@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from digitop import contracts, exact, metric
+from digitop import contracts, exact, fixpoint, metric
 from digitop.contracts import _Arith, check_ciric5
 from digitop.mapkit import SelfMap
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
@@ -83,3 +83,26 @@ def test_a_repeated_check_decides_nothing_new(calls):
     calls.clear()
     assert check_ciric5(sp, f, Fraction(3, 4), minimal=False) == first
     assert calls["compare"] == 0 and calls["sign"] == 0
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_the_distance_matrix_is_filled_once(space, monkeypatch):
+    """The first index_distance computes the whole matrix; the level order
+    and the checkers then compute no distance."""
+    calls = Counter()
+    distance = DigitalMetricSpace.distance
+    monkeypatch.setattr(DigitalMetricSpace, "distance", counting(calls, "distance", distance))
+    fresh = DigitalMetricSpace(space.image, space.metric)
+    n = len(fresh)
+    fresh.index_distance(0, 0)
+    assert calls["distance"] <= n * n
+    calls.clear()
+    pts = fresh.points
+    f = SelfMap(fresh.image, pts[1:] + pts[:1])
+    g = SelfMap.constant(fresh.image, pts[-1])
+    assert fresh.levels and fresh.rank
+    contracts.check_quasi(fresh, f, Fraction(1, 2))
+    contracts.weakly_commutative(fresh, f, g)
+    contracts.parv_rational_check(fresh, f, g)
+    fixpoint.banach_verify(fresh, g)
+    assert calls["distance"] == 0
