@@ -17,12 +17,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .space import DigitalImage, Point, adjacent, as_point, fmt_point
 
-#: Largest map-enumeration workload accepted (6 points: 6**6 tables).
-MAP_ENUM_BUDGET = 6**6
+#: The work one enumeration may do: the entries enumerate_tables tries, or
+#: the tables a product scan yields (6-point maps and 4-point pairs fit).
+ENUM_BUDGET = 4**8
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when an exhaustive scan would exceed the desk-scale budget."""
+    """Raised when an enumeration would exceed ENUM_BUDGET."""
 
 
 class MapValidationError(ValueError):
@@ -280,19 +281,17 @@ def accumulation_points(report: OrbitReport) -> tuple[Point, ...]:
     raise ValueError("a truncated orbit has no known accumulation points")
 
 
-def _check_map_budget(n: int) -> None:
-    if n**n > MAP_ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"{n}^{n} self-maps exceed the enumeration budget of {MAP_ENUM_BUDGET}"
-        )
+def _check_budget(n: int, arity: int) -> None:
+    if n ** (arity * n) > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"{n}^{arity * n} tables exceed the budget of {ENUM_BUDGET}")
 
 
 def enumerate_selfmaps(img: DigitalImage) -> Iterator[SelfMap]:
     """All total self-maps, lexicographic by value table.
 
-    Raises EnumerationBudgetError when |X|^|X| exceeds the desk budget.
+    Raises EnumerationBudgetError when |X|^|X| exceeds ENUM_BUDGET.
     """
-    _check_map_budget(len(img))
+    _check_budget(len(img), 1)
     for values in itertools.product(img.points, repeat=len(img)):
         yield SelfMap(img, values)
 
@@ -301,12 +300,16 @@ def enumerate_tables(n: int, length: int, accept: Callable) -> Iterator[list[int
     """Int tables of `length` entries in range(n), depth first, in the order
     of itertools.product; one list, filled in place.  After each new entry
     k, accept(table, k) says whether a wanted table may start with
-    table[:k + 1] (reading no later entry); if not, its subtree is skipped."""
-    table, k = [-1] * length, 0
+    table[:k + 1] (reading no later entry); if not, its subtree is skipped.
+    Each entry tried (each accept call) counts against ENUM_BUDGET, and the
+    try past it raises EnumerationBudgetError: no scan is cut silently."""
+    table, k, left = [-1] * length, 0, ENUM_BUDGET
     while k >= 0:
         table[k] += 1
         if table[k] == n:
             table[k], k = -1, k - 1
+        elif (left := left - 1) < 0:
+            raise EnumerationBudgetError(f"enumeration budget of {ENUM_BUDGET} entries exceeded")
         elif accept(table, k):
             if k == length - 1:
                 yield table
@@ -338,9 +341,9 @@ def has_fpp(img: DigitalImage, restrict_continuous: bool = True) -> FppVerdict:
     With restrict_continuous the quantifier runs over digitally
     continuous maps only.  The prefix constraint admits exactly the
     fixed-point-free (continuous) tables, so the first table it admits
-    is the witness: the lexicographically first such map.
+    is the witness: the lexicographically first such map.  ENUM_BUDGET
+    bounds the entries tried; the image's size is not capped.
     """
-    _check_map_budget(len(img))
     table = next(enumerate_tables(len(img), len(img), _fpp_prefix(img, restrict_continuous)), None)
     if table is None:
         return FppVerdict(True, None)

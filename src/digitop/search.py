@@ -23,18 +23,14 @@ from .contracts import _ciric5_terms, _domination_terms, _quasi_terms, _saluja_t
 from .mapkit import (
     EnumerationBudgetError,
     SelfMap,
+    _check_budget,
     enumerate_selfmaps,
     enumerate_tables,
     fixed_points,
     validate_selfmap,
 )
 from .metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, MetricSpec
-from .space import C1, C2, DigitalImage, digital_interval
-
-#: Largest pair-enumeration workload accepted ((4 points)^(2*4) tables).
-PAIR_ENUM_BUDGET = 65536
-
-MAX_SIZE_BOUND = 5
+from .space import C1, C2, Adjacency, DigitalImage, digital_interval
 
 DEFAULT_PARAM_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
@@ -44,11 +40,7 @@ EXHAUSTED = "exhausted"
 
 def enumerate_map_pairs(img: DigitalImage) -> Iterator[tuple[SelfMap, SelfMap]]:
     """All ordered pairs of self-maps, lexicographic by value tables."""
-    n = len(img)
-    if (n**n) ** 2 > PAIR_ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"({n}^{n})^2 map pairs exceed the enumeration budget of {PAIR_ENUM_BUDGET}"
-        )
+    _check_budget(len(img), 2)
     maps = list(enumerate_selfmaps(img))
     return itertools.product(maps, maps)
 
@@ -96,7 +88,9 @@ class _Assertion:
     param: str | None
     hypothesis: Callable
     conclusion: Callable
-    terms: Callable | None = None  # the checker's level key by pair
+    # The checker's level key by pair.  With one, the prefix decides the
+    # whole hypothesis: every complete table it admits is hypothesis-true.
+    terms: Callable | None = None
     within: bool = False  # the second map's values lie among the first's
     increasing: bool = False  # each map's entries rise
     one_dimensional_only: bool = False
@@ -265,17 +259,24 @@ class SearchOutcome:
 
 
 @functools.cache
-def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
-    """The deterministic scan universe, built once: digital intervals
-    [0, n-1]_Z, then rectangular grids in Z^2 under c_1 and c_2."""
-    images = [digital_interval(0, n - 1) for n in range(1, size_bound + 1)]
+def _scan_image(a: int, b: int, adj: Adjacency) -> DigitalImage:
+    """The a x b grid in Z^2 under adj, or if b is 0 the interval [0, a-1]_Z."""
+    return DigitalImage([(i, j) for i in range(a) for j in range(b)] if b else range(a), adj)
+
+
+def _scan_universe(size_bound: int, one_dimensional_only: bool) -> Iterator[DigitalImage]:
+    """The deterministic scan universe, lazily (a search the budget stops builds
+    no later image): intervals [0, n-1]_Z, then grids in Z^2 under c_1 and c_2."""
+    yield from (_scan_image(n, 0, C1) for n in range(1, size_bound + 1))
     if not one_dimensional_only:
         for a in range(2, size_bound + 1):
             for b in range(a, size_bound // a + 1):
-                pts = [(i, j) for i in range(a) for j in range(b)]
-                for adj in (C1, C2):
-                    images.append(DigitalImage(pts, adj))
-    return tuple(images)
+                yield from (_scan_image(a, b, adj) for adj in (C1, C2))
+
+
+def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
+    """The scan universe of find_counterexample, as a tuple."""
+    return tuple(_scan_universe(size_bound, one_dimensional_only))
 
 
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
@@ -289,32 +290,35 @@ def _map_builder(img: DigitalImage) -> Callable:
 def _sweep(space: DigitalMetricSpace, arity: int, accept: Callable, built) -> Iterator[tuple]:
     """The maps of each table of `arity` maps that accept admits, in the
     order of the product scan, made by built, a _map_builder of the
-    space's image."""
+    space's image.  A budget error names the space."""
     n = len(space)
-    for table in enumerate_tables(n, arity * n, accept):
-        yield tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
+    try:
+        for table in enumerate_tables(n, arity * n, accept):
+            yield tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
+    except EnumerationBudgetError as err:
+        raise EnumerationBudgetError(f"{space.describe()}: {err}") from None
 
 
-def find_counterexample(
-    assertion: str, size_bound: int = 3, param_grid=None
-) -> SearchOutcome:
+def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) -> SearchOutcome:
     """Scan every space/metric/parameter/map combination up to
     size_bound for a hypothesis-true, conclusion-false instance.
 
     Map tables run depth first in lexicographic order, skipping each
-    prefix the assertion rejects; instances_scanned counts those too.
+    prefix the assertion rejects; instances_scanned counts those too.  A
+    table a prefix constraint admits is hypothesis-true: only the rational
+    form, which has none, runs its hypothesis per table.
 
     Deterministic: the first witness in scan order is returned.  Raises
-    EnumerationBudgetError if a two-map assertion reaches a space whose
-    pairs exceed the pair enumeration budget, and ValueError for unknown
-    assertions, out-of-range parameters, or size_bound > 5.
+    EnumerationBudgetError, naming the space, if one enumeration would try
+    more than mapkit.ENUM_BUDGET table entries, and ValueError for unknown
+    assertions, out-of-range parameters, or size_bound < 1.
     """
     spec = ASSERTIONS.get(assertion)
     if spec is None:
         known = ", ".join(sorted(ASSERTIONS))
         raise ValueError(f"unknown assertion {assertion!r}; expected one of: {known}")
-    if not 1 <= size_bound <= MAX_SIZE_BOUND:
-        raise ValueError(f"size_bound must be in [1, {MAX_SIZE_BOUND}]")
+    if size_bound < 1:
+        raise ValueError("size_bound must be at least 1")
     if spec.param is None:
         grid: tuple[Fraction | None, ...] = (None,)
     else:
@@ -328,17 +332,15 @@ def find_counterexample(
     scanned = 0
     hits = 0
     spaces = 0
-    for img in small_connected_images(size_bound, spec.one_dimensional_only):
+    for img in _scan_universe(size_bound, spec.one_dimensional_only):
         n = len(img)
-        if spec.arity == 2 and (n**n) ** 2 > PAIR_ENUM_BUDGET:
-            raise EnumerationBudgetError(f"{n}-point space exceeds the pair budget")
         built = _map_builder(img)
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
             for value in grid:
                 for maps in _sweep(space, spec.arity, spec.prefix(space, value), built):
-                    if not spec.hypothesis(space, maps, value):
+                    if spec.terms is None and not spec.hypothesis(space, maps, value):
                         continue
                     hits += 1
                     if not spec.conclusion(space, maps):
@@ -537,16 +539,15 @@ def _suite_rational_ill_definedness() -> SuiteEntry:
 
 
 def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
-    holding = 0
-    all_constant = True
-    for space in spaces:
-        prefix = ASSERTIONS["sum-bound-common-fix"].prefix(space, xi)
-        for j, k in _sweep(space, 2, prefix, _map_builder(space.image)):
-            rep = contracts.check_saluja(space, j, k, xi, minimal=False)
-            if rep.condition.holds:
-                holding += 1
-                if not (j.is_constant and k.is_constant):
-                    all_constant = False
+    # The prefix checks the bound on every pair: it admits exactly the pairs
+    # meeting it.
+    prefix = ASSERTIONS["sum-bound-common-fix"].prefix
+    pairs = [
+        maps
+        for space in spaces
+        for maps in _sweep(space, 2, prefix(space, xi), _map_builder(space.image))
+    ]
+    all_constant = all(j.is_constant and k.is_constant for j, k in pairs)
     img = digital_interval(0, 1)
     space = DigitalMetricSpace(img, L2)
     j = SelfMap.constant(img, 0)
@@ -558,7 +559,7 @@ def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
         "sum-bound-forces-constancy",
         ok,
         {
-            "pairs_satisfying_bound": holding,
+            "pairs_satisfying_bound": len(pairs),
             "all_satisfying_pairs_constant": all_constant,
             "constant_pair_common_fixed_points": 0 if no_common else 1,
         },

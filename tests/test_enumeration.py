@@ -3,18 +3,22 @@ it saves.
 
 A prefix constraint may only reject a prefix that no wanted table
 completes; the soundness tests check that against brute force over every
-completion.  The work counts pin how much the pruning skips, with no
-timing asserts.
+completion.  The assertions' and the FPP constraints are exact as well:
+the complete tables they admit are the wanted ones, so the searches
+check no hypothesis at a leaf.  The work counts pin how much the pruning
+skips and what the budget counts, with no timing asserts.
 """
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from digitop import contracts, fixpoint, mapkit
+from digitop import contracts, fixpoint, mapkit, search
 from digitop.mapkit import (
+    EnumerationBudgetError,
     SelfMap,
     _fpp_prefix,
     enumerate_tables,
@@ -26,6 +30,7 @@ from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace
 from digitop.search import (
     _KANNAN_GRID,
     ASSERTIONS,
+    COUNTEREXAMPLE,
     DEFAULT_PARAM_GRID,
     EXHAUSTED,
     _contraction_prefix,
@@ -89,7 +94,11 @@ def test_prefix_constraints_reject_no_hypothesis_true_table(assertion, space):
     maps = [table_maps(space.image, t, spec.arity) for t in tables]
     for value in DEFAULT_PARAM_GRID:
         wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
-        assert_sound(spec.prefix(space, value), n, length, wanted)
+        accept = spec.prefix(space, value)
+        assert_sound(accept, n, length, wanted)
+        # Exact as well as sound, so the searches need no hypothesis check
+        # at the leaves (copied, since the enumerator reuses its list).
+        assert [tuple(t) for t in enumerate_tables(n, length, accept)] == wanted
 
 
 # The suite's theorem sweeps run on the intervals of 3 and 4 points; the
@@ -152,7 +161,57 @@ def test_the_monotone_exhaustion_decides_few_tables(monkeypatch):
     assert outcome.status == EXHAUSTED
     assert outcome.stats["instances_scanned"] == 596_538
     assert outcome.stats["hypothesis_hits"] == 9
-    assert 0 < calls["domination"] < 1000
+    assert calls["domination"] == 0
+
+
+def test_only_the_rational_search_checks_its_hypothesis_per_table(monkeypatch):
+    calls = Counter()
+    for name in ("check_quasi", "check_ciric5", "parv_rational_check"):
+        monkeypatch.setattr(contracts, name, counting(calls, name, getattr(contracts, name)))
+    assert find_counterexample("quasi-fixed-point", 4).status == EXHAUSTED
+    assert find_counterexample("five-term-fixed-point", 4).status == EXHAUSTED
+    assert calls["check_quasi"] == calls["check_ciric5"] == 0
+    assert find_counterexample("rational-alternating-common-fix", 2).status == COUNTEREXAMPLE
+    assert calls["parv_rational_check"] >= 1
+
+
+def test_the_budget_counts_every_entry_a_search_tries(monkeypatch):
+    # The largest enumerations of this search, on the 3-point interval with
+    # r = 1/2 or 3/4, try 27 entries; the first is under l_1 with r = 1/2.
+    expected = find_counterexample("five-term-fixed-point", 3)
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 27)
+    assert find_counterexample("five-term-fixed-point", 3) == expected
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 26)
+    space = DigitalMetricSpace(digital_interval(0, 2), L1).describe()
+    with pytest.raises(EnumerationBudgetError, match=re.escape(space + ": ")):
+        find_counterexample("five-term-fixed-point", 3)
+
+
+def test_a_search_builds_only_the_images_it_reaches(monkeypatch):
+    # No size cap: a large size bound costs only the images scanned before
+    # the budget stops the search.
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 100)
+    search._scan_image.cache_clear()
+    with pytest.raises(EnumerationBudgetError, match="^5 point"):
+        find_counterexample("quasi-fixed-point", 1000)
+    assert search._scan_image.cache_info().currsize == 5
+
+
+@pytest.mark.parametrize(
+    "img",
+    (
+        digital_interval(0, 6),
+        DigitalImage([(i, j) for i in range(3) for j in range(3)], C2),
+        digital_interval(0, 11),
+    ),
+    ids=lambda img: img.describe(),
+)
+@pytest.mark.parametrize("restrict_continuous", (True, False), ids=("continuous", "all-maps"))
+def test_has_fpp_answers_past_the_product_budget(img, restrict_continuous):
+    verdict = has_fpp(img, restrict_continuous)
+    assert not verdict.holds
+    assert not fixed_points(verdict.counterexample)
+    assert is_continuous(verdict.counterexample) or not restrict_continuous
 
 
 def test_has_fpp_builds_few_maps(monkeypatch):

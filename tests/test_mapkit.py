@@ -15,9 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digitop.mapkit import (
+    ENUM_BUDGET,
     EVENTUALLY_CONSTANT,
     EVENTUALLY_PERIODIC,
-    MAP_ENUM_BUDGET,
     TRUNCATED,
     AffineMapZ,
     EnumerationBudgetError,
@@ -277,7 +277,7 @@ def test_enumeration_counts_and_order():
 
 
 def test_enumeration_budget():
-    assert 6**6 == MAP_ENUM_BUDGET  # six points is the intended ceiling
+    assert 6**6 <= ENUM_BUDGET < 7**7  # six points is the product scan's ceiling
     with pytest.raises(EnumerationBudgetError):
         list(enumerate_selfmaps(digital_interval(0, 6)))
 

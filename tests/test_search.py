@@ -79,8 +79,12 @@ def test_unknown_assertion_rejected():
 def test_size_bound_range():
     with pytest.raises(ValueError):
         find_counterexample("quasi-fixed-point", size_bound=0)
-    with pytest.raises(ValueError):
-        find_counterexample("quasi-fixed-point", size_bound=6)
+    # No size cap.  Only the identity pair is strictly rising, and it meets
+    # rho < 1 only on the one-point interval, under 3 metrics x 3 parameters.
+    outcome = find_counterexample("dominated-monotone-compatible", size_bound=5)
+    assert outcome.status == EXHAUSTED
+    assert outcome.stats["instances_scanned"] == 88_487_163
+    assert outcome.stats["hypothesis_hits"] == 9
 
 
 def test_param_grid_validation():
