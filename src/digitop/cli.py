@@ -397,93 +397,88 @@ def _cmd_verify_paper(args, parser) -> int:
 # -- parser ----------------------------------------------------------
 
 
+# Options that several subcommands read; each is added only where it is read.
+_SHARED = {
+    "--format": dict(choices=("text", "json"), default="text", help="output format"),
+    "--expect-pass": dict(
+        action="store_true", help="exit 1 when the verdict is a failure or counterexample"
+    ),
+    "--space": dict(required=True, help="space document (JSON)"),
+    "--map": dict(help="name of a map in the document"),
+    "--map2": dict(help="name of a second map in the document"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--expect-pass",
-        action="store_true",
-        help="exit 1 when the verdict is a failure or counterexample",
-    )
-    common.add_argument(
-        "--max-steps", type=int, default=None, help="iteration budget for orbits"
-    )
-
-    spaced = argparse.ArgumentParser(add_help=False)
-    spaced.add_argument("--space", required=True, help="space document (JSON)")
-    spaced.add_argument("--map", help="name of a map in the document")
-    spaced.add_argument("--map2", help="name of a second map in the document")
-
     parser = argparse.ArgumentParser(
         prog="digitop",
         description="fixed-point laboratory for digital metric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
+    def command(name, handler, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--format", *shared):
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(handler=handler)
+        return p
+
+    command(
         "check-map",
-        parents=[common, spaced],
-        help="validate a map; report continuity and fixed points",
+        _cmd_check_map,
+        "validate a map; report continuity and fixed points",
+        "--space",
+        "--map",
     )
-    p.set_defaults(handler=_cmd_check_map)
-
-    p = sub.add_parser(
+    command(
         "classify",
-        parents=[common, spaced],
-        help="minimal constants and condition verdicts for a map (or pair)",
+        _cmd_classify,
+        "minimal constants and condition verdicts for a map (or pair)",
+        "--space",
+        "--map",
+        "--map2",
     )
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser(
+    p = command(
         "fix",
-        parents=[common, spaced],
-        help="iteration orbits; with --map2, the alternating scheme",
+        _cmd_fix,
+        "iteration orbits; with --map2, the alternating scheme",
+        "--space",
+        "--map",
+        "--map2",
     )
+    p.add_argument("--max-steps", type=int, default=None, help="iteration budget for orbits")
     p.add_argument("--start", help="starting point (JSON: 3 or [1, 2])")
-    p.set_defaults(handler=_cmd_fix)
 
-    p = sub.add_parser(
-        "hausdorff",
-        parents=[common, spaced],
-        help="Hausdorff distance between two subsets",
-    )
+    p = command("hausdorff", _cmd_hausdorff, "Hausdorff distance between two subsets", "--space")
     p.add_argument("--first", required=True, help="first subset (JSON point array)")
     p.add_argument("--second", required=True, help="second subset (JSON point array)")
-    p.set_defaults(handler=_cmd_hausdorff)
 
-    p = sub.add_parser(
+    p = command(
         "fpp",
-        parents=[common, spaced],
-        help="decide the fixed point property by a pruned search over all self-maps",
+        _cmd_fpp,
+        "decide the fixed point property by a pruned search over all self-maps",
+        "--expect-pass",
+        "--space",
     )
     p.add_argument(
         "--all-maps",
         action="store_true",
         help="quantify over all self-maps, not only continuous ones",
     )
-    p.set_defaults(handler=_cmd_fpp)
 
-    p = sub.add_parser(
+    p = command(
         "search",
-        parents=[common],
-        help="hunt for a counterexample to a recorded assertion",
+        _cmd_search,
+        "hunt for a counterexample to a recorded assertion",
+        "--expect-pass",
     )
     p.add_argument(
         "--assertion", required=True, choices=sorted(search.ASSERTIONS), help="assertion id"
     )
     p.add_argument("--size-bound", type=int, default=3, help="largest space size")
     p.add_argument("--params", help="comma-separated rational grid, e.g. 1/4,1/2")
-    p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser(
-        "verify-paper",
-        parents=[common],
-        help="run the full curated verification suite",
-    )
-    p.set_defaults(handler=_cmd_verify_paper)
-
+    command("verify-paper", _cmd_verify_paper, "run the full curated verification suite")
     return parser
 
 

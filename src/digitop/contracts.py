@@ -110,8 +110,9 @@ class _Arith:
 
 
 def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
-    """f's values as positions in the space's table."""
-    if f.domain.points != space.points:
+    """f's values as positions in the space's table; f must be a self-map
+    of the space's image (its points and adjacency)."""
+    if f.domain != space.image:
         raise ValueError("the map's domain is not the space's point set")
     return f.indices
 
@@ -300,8 +301,6 @@ def check_pair_domination(
 ) -> PairDominationReport:
     """d(Hx, Hy) <= rho * d(Gx, Gy) for all pairs, plus H(X) subset of G(X)."""
     rho = _unit_fraction(rho, "rho")
-    if g.domain != h.domain:
-        raise ValueError("both maps must share one domain")
     table = _positions(space, g) + _positions(space, h)
     terms = partial(_domination_terms, space.rank, len(space), table)
     scan = _scan(space, terms, _verdicts(space, _bound, rho), minimal)
@@ -318,8 +317,6 @@ def check_saluja(
     states each map's constancy.
     """
     xi = _unit_fraction(xi, "xi")
-    if j.domain != k.domain:
-        raise ValueError("both maps must share one domain")
     table = _positions(space, j) + _positions(space, k)
     terms = partial(_saluja_terms, space.rank, len(space), table)
     scan = _scan(space, terms, _verdicts(space, _bound, xi), minimal)
@@ -336,8 +333,6 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     over the defined pairs only, by cross-multiplication (the
     denominator is positive there), so no division is ever performed.
     """
-    if t.domain != s.domain:
-        raise ValueError("both maps must share one domain")
     ar = _Arith(space)
     d, tv, sv = space.index_distance, _positions(space, t), _positions(space, s)
     pts = space.points
@@ -363,8 +358,6 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
 
 def weakly_commutative(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> ConditionReport:
     """d(S(T(x)), T(S(x))) <= d(Sx, Tx) for every point x."""
-    if s.domain != t.domain:
-        raise ValueError("both maps must share one domain")
     ar = _Arith(space)
     d, sv, tv = space.index_distance, _positions(space, s), _positions(space, t)
     for x, point in enumerate(space.points):
@@ -382,9 +375,8 @@ def compatible(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> ConditionRe
     are eventually constant, so the quantifier only ever reaches points
     with Sx = Tx, and "distance tends to 0" means equality there.
     """
-    if s.domain != t.domain:
-        raise ValueError("both maps must share one domain")
-    for x in space.image.points:
-        if s(x) == t(x) and s(t(x)) != t(s(x)):
-            return ConditionReport(holds=False, witness=(x,), exact=True)
+    sv, tv = _positions(space, s), _positions(space, t)
+    for x, point in enumerate(space.points):
+        if sv[x] == tv[x] and sv[tv[x]] != tv[sv[x]]:
+            return ConditionReport(holds=False, witness=(point,), exact=True)
     return ConditionReport(holds=True, exact=True)

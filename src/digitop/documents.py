@@ -166,7 +166,7 @@ def parse_document(obj) -> ParsedDocument:
         raise DocumentError("points", str(err)) from None
 
     maps: dict[str, SelfMap | AffineMapZ] = {}
-    for i, entry in enumerate(obj.get("maps", [])):
+    for i, entry in enumerate(_map_entries(obj)):
         name, mapping = _parse_map_entry(entry, f"maps[{i}]", maps, dimension, image)
         maps[name] = mapping
     return ParsedDocument(dimension, adjacency, metric, image, space, maps)
@@ -178,7 +178,7 @@ def _parse_integer_line(obj, dimension, adjacency, metric) -> ParsedDocument:
     if not isinstance(metric, Lp) or metric.p != 1:
         raise DocumentError("metric", 'the "Z" domain uses the lp metric with p = 1')
     maps: dict[str, SelfMap | AffineMapZ] = {}
-    for i, entry in enumerate(obj.get("maps", [])):
+    for i, entry in enumerate(_map_entries(obj)):
         path = f"maps[{i}]"
         _require_keys(entry, path, {"name", "affine"})
         name = _map_name(entry, path, maps)
@@ -188,6 +188,13 @@ def _parse_integer_line(obj, dimension, adjacency, metric) -> ParsedDocument:
             _as_int(entry["affine"]["q"], f"{path}.affine.q"),
         )
     return ParsedDocument(dimension, adjacency, metric, None, None, maps)
+
+
+def _map_entries(obj: dict) -> list:
+    entries = obj.get("maps", [])
+    if not isinstance(entries, list):
+        raise DocumentError("maps", f"expected an array of maps, got {type(entries).__name__}")
+    return entries
 
 
 def _map_name(entry: dict, path: str, seen: dict) -> str:

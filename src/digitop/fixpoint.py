@@ -14,15 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 from .contracts import ConditionReport, _Arith, _contraction_terms, _positions, _scan, check_kannan
-from .mapkit import (
-    EVENTUALLY_CONSTANT,
-    EVENTUALLY_PERIODIC,
-    TRUNCATED,
-    OrbitReport,
-    SelfMap,
-    fixed_points,
-    orbit,
-)
+from .mapkit import EVENTUALLY_CONSTANT, OrbitReport, SelfMap, _iterate, fixed_points, orbit
 from .metric import DigitalMetricSpace
 from .space import Point, as_point, fmt_point
 
@@ -183,44 +175,7 @@ def alternating_orbit(
     """
     if s.domain != t.domain:
         raise ValueError("alternating iteration needs a shared domain")
-    x = as_point(x0)
-    if x not in t.domain:
-        raise ValueError(f"starting point {fmt_point(x)} not in image")
-    if max_steps is None:
-        max_steps = 2 * len(t.domain) + 2
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    pts = [x]
-    seen = {(x, 0): 0}
-    for step in range(max_steps):
-        x = t(x) if step % 2 == 0 else s(x)
-        pts.append(x)
-        state = (x, (step + 1) % 2)
-        if state in seen:
-            first = seen[state]
-            cycle = pts[first : len(pts) - 1]
-            period = _minimal_period(cycle)
-            if period == 1:
-                v = cycle[0]
-                settle = len(pts)
-                while settle > 0 and pts[settle - 1] == v:
-                    settle -= 1
-                return OrbitReport(
-                    tuple(pts), EVENTUALLY_CONSTANT, settle_index=settle, value=v
-                )
-            return OrbitReport(tuple(pts), EVENTUALLY_PERIODIC, period=period)
-        seen[state] = len(pts) - 1
-    return OrbitReport(tuple(pts), TRUNCATED)
-
-
-def _minimal_period(cycle: list) -> int:
-    length = len(cycle)
-    for cand in range(1, length + 1):
-        if length % cand == 0 and all(
-            cycle[i] == cycle[(i + cand) % length] for i in range(length)
-        ):
-            return cand
-    return length
+    return _iterate((t, s), x0, max_steps)
 
 
 def t_stability_verdict(space: DigitalMetricSpace, t: SelfMap, p) -> StabilityVerdict:

@@ -52,22 +52,7 @@ class SelfMap:
 
     @classmethod
     def from_dict(cls, img: DigitalImage, mapping: dict) -> "SelfMap":
-        table = {as_point(k): as_point(v) for k, v in mapping.items()}
-        missing = [p for p in img.points if p not in table]
-        if missing:
-            raise MapValidationError(
-                "partial",
-                f"map is partial: no value for {fmt_point(missing[0])}",
-                point=missing[0],
-            )
-        extra = [p for p in table if p not in img]
-        if extra:
-            raise MapValidationError(
-                "unknown-point",
-                f"map assigns a value to {fmt_point(extra[0])}, which is not in the image",
-                point=extra[0],
-            )
-        return cls(img, tuple(table[p] for p in img.points))
+        return validate_selfmap(img, mapping.items())
 
     @classmethod
     def constant(cls, img: DigitalImage, value) -> "SelfMap":
@@ -121,7 +106,7 @@ def compose(outer: SelfMap, inner: SelfMap) -> SelfMap:
     """The self-map x -> outer(inner(x))."""
     if outer.domain != inner.domain:
         raise ValueError("composition needs a shared domain")
-    return SelfMap(outer.domain, tuple(outer(inner(x)) for x in outer.domain.points))
+    return SelfMap(outer.domain, tuple(map(outer.values.__getitem__, inner.indices)))
 
 
 def _try_point(value):
@@ -242,34 +227,64 @@ class OrbitReport:
         return self.points[0]
 
 
+def _minimal_period(cycle: list) -> int:
+    """The least rotation that leaves the cycle unchanged (it divides the length)."""
+    for p in range(1, len(cycle)):
+        if cycle[p:] + cycle[:p] == cycle:
+            return p
+    return len(cycle)
+
+
+def _iterate(maps: tuple[SelfMap, ...], x0, max_steps: int | None) -> OrbitReport:
+    """The orbit x0, maps[0](x0), maps[1](...), ..., the maps applied in turn.
+
+    Runs on value positions.  Repetition is detected on (position, turn)
+    states, since a point alone can recur without the tail repeating; the
+    reported period is the minimal period of the point sequence, which may
+    be smaller than the state period.  The default budget
+    len(maps) * (|X| + 1) exhausts the states, so truncation is impossible.
+    """
+    img = maps[0].domain
+    x = as_point(x0)
+    if x not in img:
+        raise ValueError(f"starting point {fmt_point(x)} not in image")
+    n, turns = len(img), len(maps)
+    if max_steps is None:
+        max_steps = turns * (n + 1)
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    tables = [f.indices for f in maps]
+    i = img.index[x]
+    seq = [i]
+    # The step at which each state, turn * n + position, first occurred.
+    seen = [-1] * (turns * n)
+    seen[i] = 0
+    for step in range(1, max_steps + 1):
+        i = tables[(step - 1) % turns][i]
+        seq.append(i)
+        state = step % turns * n + i
+        first = seen[state]
+        if first >= 0:
+            break
+        seen[state] = step
+    pts = tuple(map(img.points.__getitem__, seq))
+    if first < 0:  # the budget ran out before a state repeated
+        return OrbitReport(pts, TRUNCATED)
+    period = _minimal_period(seq[first:step])
+    if period > 1:
+        return OrbitReport(pts, EVENTUALLY_PERIODIC, period=period)
+    # The tail settles at first: had the point before it been the value
+    # too, that point's state would have recurred len(maps) steps later.
+    return OrbitReport(pts, EVENTUALLY_CONSTANT, settle_index=first, value=pts[-1])
+
+
 def orbit(f: SelfMap, x0, max_steps: int | None = None) -> OrbitReport:
     """The Picard orbit x0, f(x0), f(f(x0)), ...
 
     Iterates until a point repeats or max_steps applications are spent.
     The default budget |X| + 1 makes truncation impossible (pigeonhole).
     """
-    x = as_point(x0)
-    if x not in f.domain:
-        raise ValueError(f"starting point {fmt_point(x)} not in image")
-    if max_steps is None:
-        max_steps = len(f.domain) + 1
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    pts = [x]
-    seen = {x: 0}
-    for _ in range(max_steps):
-        x = f(x)
-        pts.append(x)
-        if x in seen:
-            first = seen[x]
-            period = len(pts) - 1 - first
-            if period == 1:
-                return OrbitReport(
-                    tuple(pts), EVENTUALLY_CONSTANT, settle_index=first, value=x
-                )
-            return OrbitReport(tuple(pts), EVENTUALLY_PERIODIC, period=period)
-        seen[x] = len(pts) - 1
-    return OrbitReport(tuple(pts), TRUNCATED)
+    return _iterate((f,), x0, max_steps)
 
 
 def accumulation_points(report: OrbitReport) -> tuple[Point, ...]:

@@ -51,7 +51,7 @@ def _strictly_increasing_1d(f: SelfMap) -> bool:
 
 
 def _common_fixed_points(f: SelfMap, g: SelfMap) -> tuple:
-    return tuple(p for p in f.domain.points if f(p) == p and g(p) == p)
+    return tuple(p for p, u, v in zip(f.domain.points, f.values, g.values) if p == u == v)
 
 
 def _unique_common_fix(space, maps) -> bool:

@@ -514,6 +514,45 @@ def test_float_in_structural_field(tmp_path, capsys):
     assert 'float literals are not allowed; write "num/den"' in err
 
 
+@pytest.mark.parametrize("maps", [5, None, "ab", {}])
+@pytest.mark.parametrize("points", [[[0], [1]], "Z"])
+def test_maps_that_are_not_an_array(tmp_path, capsys, maps, points):
+    doc = {
+        "dimension": 1,
+        "points": points,
+        "adjacency": {"type": "cu", "u": 1},
+        "metric": {"type": "lp", "p": "1"},
+        "maps": maps,
+    }
+    argv = ["check-map", "--space", write(tmp_path, "doc.json", doc), "--map", "T"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: maps: expected an array of maps")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--expect-pass"],
+        ["verify-paper", "--max-steps", "3"],
+        ["search", "--assertion", "quasi-fixed-point", "--max-steps", "3"],
+        ["fpp", "--map", "T"],
+        ["hausdorff", "--map2", "S", "--first", "[[0]]", "--second", "[[1]]"],
+        ["check-map", "--map", "T", "--map2", "S"],
+        ["check-map", "--map", "T", "--expect-pass"],
+        ["classify", "--map", "T", "--max-steps", "3"],
+        ["fix", "--map", "T", "--expect-pass"],
+    ],
+)
+def test_options_a_command_does_not_read_are_refused(finite, capsys, argv):
+    if argv[0] not in ("verify-paper", "search"):
+        argv = [argv[0], "--space", finite, *argv[1:]]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_finite_command_on_integer_line(integer_line, capsys):
     code, _, err = run(
         ["hausdorff", "--space", integer_line, "--first", "[[0]]", "--second", "[[1]]"],

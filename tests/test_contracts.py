@@ -90,9 +90,38 @@ def test_checks_require_a_map_of_the_space():
         lambda f: check_quasi(S2, f, HALF),
         lambda f: check_pair_domination(S2, f, f, HALF),
         lambda f: weakly_commutative(S2, f, f),
+        lambda f: compatible(S2, f, f),
     ):
         with pytest.raises(ValueError, match="not the space's point set"):
             check(shifted)
+
+
+def test_checks_require_the_spaces_adjacency():
+    # The same four points under c1: a map of that image is not a map of
+    # the c2 space, in either place of a pair.
+    grid = list(itertools.product((0, 1), repeat=2))
+    sp = DigitalMetricSpace(DigitalImage(grid, C2), L1)
+    own, alien = SelfMap.identity(sp.image), SelfMap.identity(DigitalImage(grid))
+    singles = (
+        lambda f: check_banach(sp, f, HALF),
+        lambda f: lipschitz_min(sp, f),
+        lambda f: check_kannan(sp, f, 0, 0),
+        lambda f: check_quasi(sp, f, HALF),
+        lambda f: check_ciric5(sp, f, HALF),
+    )
+    pairs = (
+        lambda f, g: check_pair_domination(sp, f, g, HALF),
+        lambda f, g: check_saluja(sp, f, g, HALF),
+        lambda f, g: parv_rational_check(sp, f, g),
+        lambda f, g: weakly_commutative(sp, f, g),
+        lambda f, g: compatible(sp, f, g),
+    )
+    calls = [(check, (alien,), (own,)) for check in singles]
+    calls += [(check, maps, (own, own)) for check in pairs for maps in ((alien, own), (own, alien))]
+    for check, maps, good in calls:
+        check(*good)
+        with pytest.raises(ValueError, match="not the space's point set"):
+            check(*maps)
 
 
 # -- banach ----------------------------------------------------------

@@ -37,6 +37,7 @@ from digitop.mapkit import (
     orbit,
 )
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace
+from digitop.search import small_connected_images
 from digitop.space import C1, C2, DigitalImage, digital_interval
 
 S2 = DigitalMetricSpace(digital_interval(0, 1), L1)
@@ -267,6 +268,57 @@ def test_alternating_default_budget_never_truncates(data):
     for i in range(len(rep.points) - 1):
         step = t if i % 2 == 0 else s
         assert rep.points[i + 1] == step(rep.points[i])
+
+
+def _settled(pts, period):
+    """The report fields of a tail that repeats with this point period."""
+    if period > 1:
+        return EVENTUALLY_PERIODIC, None, None, period
+    settle = min(k for k in range(len(pts)) if all(p == pts[-1] for p in pts[k:]))
+    return EVENTUALLY_CONSTANT, settle, pts[-1], None
+
+
+def _reference_picard(f, x, budget):
+    """Point by point: stop at the first point seen before."""
+    pts = [x]
+    for _ in range(len(f.domain) + 1 if budget is None else budget):
+        x = f(x)
+        if x in pts:
+            return (tuple(pts + [x]), *_settled(pts + [x], len(pts) - pts.index(x)))
+        pts.append(x)
+    return tuple(pts), TRUNCATED, None, None, None
+
+
+def _reference_alternating(s, t, x, budget):
+    """Point by point, T then S: stop at the first (point, parity) seen
+    before; the period is the least rotation of the cycle's points."""
+    pts, states = [x], [(x, 0)]
+    for step in range(2 * len(t.domain) + 2 if budget is None else budget):
+        x = (t if step % 2 == 0 else s)(x)
+        pts.append(x)
+        if (x, (step + 1) % 2) in states:
+            cycle = pts[states.index((x, (step + 1) % 2)) : -1]
+            period = next(p for p in range(1, len(cycle) + 1) if cycle == cycle[p:] + cycle[:p])
+            return (tuple(pts), *_settled(pts, period))
+        states.append((x, (step + 1) % 2))
+    return tuple(pts), TRUNCATED, None, None, None
+
+
+def _fields(rep):
+    return rep.points, rep.kind, rep.settle_index, rep.value, rep.period
+
+
+def test_orbits_match_point_level_reference_loops():
+    """Every map and every pair of maps of the scan images of up to 3
+    points, from every start, under the default budget and budgets 1-3."""
+    for img in small_connected_images(3):
+        maps = list(enumerate_selfmaps(img))
+        for x, budget in itertools.product(img.points, (None, 1, 2, 3)):
+            for f in maps:
+                assert _fields(orbit(f, x, budget)) == _reference_picard(f, x, budget)
+            for s, t in itertools.product(maps, maps):
+                expected = _reference_alternating(s, t, x, budget)
+                assert _fields(alternating_orbit(s, t, x, budget)) == expected
 
 
 # -- stability -------------------------------------------------------
