@@ -254,11 +254,17 @@ def _cmd_fix(args, parser) -> int:
     if isinstance(m, AffineMapZ):
         return _affine_report(args, {"command": "fix", "map": name}, m)
     second = doc.get_map(args.map2) if args.map2 else None
+    # Only the flags given can make an orbit fail; its error names them.
+    given = (("--start", args.start), ("--max-steps", args.max_steps))
+    flags = "/".join(flag for flag, value in given if value is not None)
 
     def run(start):
-        if second is None:
-            return mapkit.orbit(m, start, args.max_steps)
-        return fixpoint.alternating_orbit(second, m, start, args.max_steps)
+        try:
+            if second is None:
+                return mapkit.orbit(m, start, args.max_steps)
+            return fixpoint.alternating_orbit(second, m, start, args.max_steps)
+        except ValueError as err:
+            raise DocumentError(flags, str(err)) from None
 
     if args.start is not None:
         start = _parse_start(args.start)
@@ -332,8 +338,8 @@ def _cmd_fpp(args, parser) -> int:
         "witness": None
         if verdict.counterexample is None
         else [
-            [_point_json(x), _point_json(verdict.counterexample(x))]
-            for x in doc.image.points
+            [_point_json(x), _point_json(v)]
+            for x, v in zip(doc.image.points, verdict.counterexample.values)
         ],
     }
     lines = [f"fixed point property: {'holds' if verdict.holds else 'fails'}"]
@@ -345,12 +351,16 @@ def _cmd_fpp(args, parser) -> int:
 
 def _cmd_search(args, parser) -> int:
     grid = None
-    if args.params:
+    if args.params is not None:
         try:
             grid = tuple(Fraction(part) for part in args.params.split(","))
         except (ValueError, ZeroDivisionError) as err:
             raise DocumentError("--params", str(err)) from None
-    outcome = search.find_counterexample(args.assertion, args.size_bound, grid)
+    try:
+        outcome = search.find_counterexample(args.assertion, args.size_bound, grid)
+    except ValueError as err:
+        flags = "--size-bound" if grid is None else "--size-bound/--params"
+        raise DocumentError(flags, str(err)) from None
     payload = {
         "command": "search",
         "assertion": outcome.assertion,

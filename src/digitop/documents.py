@@ -21,7 +21,7 @@ appear is a map's output coordinates — they survive parsing so that
 validation can reject the map while naming the offending point.
 
 "points" may also be the string "Z", declaring the whole integer line;
-such documents carry affine maps only and metric l1.
+such documents carry affine maps only, adjacency c1 and metric l1.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def parse_document(obj) -> ParsedDocument:
 def _parse_integer_line(obj, dimension, adjacency, metric) -> ParsedDocument:
     if dimension != 1:
         raise DocumentError("dimension", 'the "Z" domain is one-dimensional')
+    if adjacency.u != 1:
+        raise DocumentError("adjacency.u", 'the "Z" domain uses the cu adjacency with u = 1')
     if not isinstance(metric, Lp) or metric.p != 1:
         raise DocumentError("metric", 'the "Z" domain uses the lp metric with p = 1')
     maps: dict[str, SelfMap | AffineMapZ] = {}
@@ -254,7 +256,7 @@ def serialize_document(doc: ParsedDocument) -> dict:
             out["maps"].append(
                 {
                     "name": name,
-                    "pairs": [[list(x), list(m(x))] for x in m.domain.points],
+                    "pairs": [[list(x), list(v)] for x, v in zip(m.domain.points, m.values)],
                 }
             )
     return out

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .space import DigitalImage, Point, adjacent, as_point, fmt_point
+from .space import DigitalImage, Point, as_point, fmt_point
 
 #: The work one enumeration may do: the entries enumerate_tables tries, or
 #: the tables a product scan yields (6-point maps and 4-point pairs fit).
@@ -170,12 +170,13 @@ def validate_selfmap(img: DigitalImage, raw: Iterable) -> SelfMap:
 
 
 def continuity_violation(f: SelfMap) -> tuple[Point, Point] | None:
-    """First adjacent pair whose images are neither equal nor adjacent."""
-    adj = f.domain.adjacency
-    for x, y in f.domain.edges():
-        fx, fy = f(x), f(y)
-        if fx != fy and not adjacent(fx, fy, adj):
-            return (x, y)
+    """First edge, in the order of edges(), whose ends' images are neither
+    equal nor adjacent."""
+    t, table = f.indices, f.domain.neighbor_indices
+    for i, row in enumerate(table):
+        for j in row:
+            if i < j and t[i] != t[j] and t[j] not in table[t[i]]:
+                return (f.domain.points[i], f.domain.points[j])
     return None
 
 
@@ -344,8 +345,9 @@ def _fpp_prefix(img: DigitalImage, restrict_continuous: bool) -> Callable:
     map: entry k is not k and, if restricted, equals or neighbours the
     value at each earlier neighbour of k.  Every edge is checked at its
     later end, so a complete table is admitted exactly when it is wanted."""
-    near = [{img.index[q] for q in img.neighbors(p)} | {i} for i, p in enumerate(img.points)]
-    earlier = [[j for j in s if j < i] if restrict_continuous else () for i, s in enumerate(near)]
+    rows = img.neighbor_indices
+    near = [{i, *row} for i, row in enumerate(rows)]
+    earlier = [[j for j in r if j < i] if restrict_continuous else () for i, r in enumerate(rows)]
     return lambda table, k: table[k] != k and all(table[k] in near[table[j]] for j in earlier[k])
 
 

@@ -69,9 +69,10 @@ class DigitalMetricSpace:
 
     Immutable after construction.  The first of :meth:`index_distance`,
     :attr:`levels` and :attr:`rank` to be asked computes every distance
-    once, through :meth:`distance`, into one matrix indexed by canonical
-    point position; all three read from it.  The shortest-path metric
-    also memoizes its breadth-first hop counts on first use.
+    once into one matrix indexed by canonical point position; all three
+    read from it.  Under the shortest-path metric its rows are the
+    image's breadth-first hop counts, which :meth:`distance` reads too;
+    otherwise each entry comes from :meth:`distance`.
     ``verdicts`` keeps the checkers' decisions by level.  Two threads
     racing to build the matrix store equal values, so it needs no lock.
     """
@@ -110,23 +111,6 @@ class DigitalMetricSpace:
             return LP_FLOAT_TOLERANCE
         return None
 
-    @cached_property
-    def _sp_table(self) -> dict:
-        table = {}
-        for source in self._image.points:
-            dist = {source: 0}
-            frontier = [source]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for q in self._image.neighbors(p):
-                        if q not in dist:
-                            dist[q] = dist[p] + 1
-                            nxt.append(q)
-                frontier = nxt
-            table[source] = dist
-        return table
-
     def distance(self, x, y):
         """Metric distance between two points of the space."""
         x = as_point(x)
@@ -135,7 +119,7 @@ class DigitalMetricSpace:
             if p not in self._image:
                 raise ValueError(f"point {fmt_point(p)} not in space")
         if isinstance(self._metric, ShortestPath):
-            return self._sp_table[x][y]
+            return self._matrix[self._image.index[x]][self._image.index[y]]
         p = self._metric.p
         if p == 1:
             return sum(abs(a - b) for a, b in zip(x, y))
@@ -150,6 +134,9 @@ class DigitalMetricSpace:
 
     @cached_property
     def _matrix(self) -> tuple[tuple, ...]:
+        if isinstance(self._metric, ShortestPath):
+            rows = map(self._image.hops, range(len(self)))
+            return tuple(tuple(map(row.__getitem__, range(len(self)))) for row in rows)
         pts = self._image.points
         return tuple(tuple(self.distance(x, y) for y in pts) for x in pts)
 

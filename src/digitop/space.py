@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Point = tuple[int, ...]
@@ -112,11 +113,7 @@ class DigitalImage:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return p in self.point_set
-
-    @cached_property
-    def point_set(self) -> frozenset:
-        return frozenset(self.points)
+        return p in self.index
 
     @cached_property
     def index(self) -> dict:
@@ -124,42 +121,46 @@ class DigitalImage:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def _neighbor_table(self) -> dict:
-        # Offset enumeration beats a full scan for low dimensions; both
-        # derive adjacency from coordinates, nothing is stored up front.
-        n = self.dimension
-        table: dict[Point, tuple[Point, ...]] = {}
-        if 3 ** n - 1 < len(self.points):
+    def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
+        """For each position, its neighbours' positions in ascending order: the
+        one adjacency table.  Low dimensions look up each point's c_u offsets
+        (sorted, so the hits ascend); higher ones test every pair."""
+        pts, index = self.points, self.index
+        if 3 ** self.dimension - 1 < len(pts):
             offsets = [
                 off
-                for off in itertools.product((-1, 0, 1), repeat=n)
-                if 1 <= sum(abs(d) for d in off) <= self.adjacency.u
+                for off in itertools.product((-1, 0, 1), repeat=self.dimension)
+                if 1 <= sum(map(abs, off)) <= self.adjacency.u
             ]
-            for p in self.points:
-                found = []
-                for off in offsets:
-                    q = tuple(a + d for a, d in zip(p, off))
-                    if q in self.point_set:
-                        found.append(q)
-                table[p] = tuple(sorted(found))
-        else:
-            for p in self.points:
-                table[p] = tuple(
-                    q for q in self.points if adjacent(p, q, self.adjacency)
-                )
-        return table
+            found = ((index.get(tuple(map(add, p, off))) for off in offsets) for p in pts)
+            return tuple(tuple(j for j in row if j is not None) for row in found)
+        return tuple(
+            tuple(j for j, q in enumerate(pts) if adjacent(p, q, self.adjacency)) for p in pts
+        )
+
+    def hops(self, i: int) -> dict[int, int]:
+        """Hop counts along adjacency edges from position i: position ->
+        count, for each position a path reaches."""
+        table, dist, queue = self.neighbor_indices, {i: 0}, [i]
+        for j in queue:  # breadth first: the queue grows while it is read
+            for k in table[j]:
+                if k not in dist:
+                    dist[k] = dist[j] + 1
+                    queue.append(k)
+        return dist
 
     def neighbors(self, p: Point) -> tuple[Point, ...]:
-        if p not in self.point_set:
+        if p not in self.index:
             raise ValueError(f"point {fmt_point(p)} not in image")
-        return self._neighbor_table[p]
+        return tuple(map(self.points.__getitem__, self.neighbor_indices[self.index[p]]))
 
     def edges(self) -> Iterator[tuple[Point, Point]]:
         """All adjacent pairs (x, y) with x < y, in lexicographic order."""
-        for x in self.points:
-            for y in self._neighbor_table[x]:
-                if x < y:
-                    yield (x, y)
+        pts = self.points
+        for i, row in enumerate(self.neighbor_indices):
+            for j in row:
+                if i < j:
+                    yield (pts[i], pts[j])
 
     def describe(self) -> str:
         return f"{len(self)} point(s) in Z^{self.dimension} with {self.adjacency}"
@@ -178,22 +179,12 @@ def components(img: DigitalImage) -> tuple[tuple[Point, ...], ...]:
     Two points share a block iff some adjacency path joins them.  Blocks
     are sorted internally and ordered by their least point.
     """
-    unvisited = set(img.points)
-    blocks = []
-    for start in img.points:
-        if start not in unvisited:
-            continue
-        block = {start}
-        unvisited.discard(start)
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for q in img.neighbors(current):
-                if q in unvisited:
-                    unvisited.discard(q)
-                    block.add(q)
-                    frontier.append(q)
-        blocks.append(tuple(sorted(block)))
+    blocks, seen = [], set()
+    for i in range(len(img)):
+        if i not in seen:
+            block = sorted(img.hops(i))
+            seen.update(block)
+            blocks.append(tuple(map(img.points.__getitem__, block)))
     return tuple(blocks)
 
 
@@ -222,7 +213,7 @@ def is_path(img: DigitalImage, seq: Sequence) -> PathVerdict:
     for p in pts:
         if p not in img:
             raise ValueError(f"point {fmt_point(p)} not in image")
-    for i in range(len(pts) - 1):
-        if not adjacent(pts[i], pts[i + 1], img.adjacency):
+    for i, (a, b) in enumerate(itertools.pairwise(map(img.index.__getitem__, pts))):
+        if b not in img.neighbor_indices[a]:
             return PathVerdict(False, None, i)
     return PathVerdict(True, len(pts) - 1, None)

@@ -428,6 +428,25 @@ def test_search_bad_params(capsys):
     assert err.startswith("error: --params:")
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["fix", "--map", "T", "--start", "[9]"], "--start"),
+        (["fix", "--map", "T", "--max-steps", "0"], "--max-steps"),
+        (["fix", "--map", "T", "--start", "[9]", "--max-steps", "0"], "--start/--max-steps"),
+        (["search", "--assertion", "quasi-fixed-point", "--size-bound", "0"], "--size-bound"),
+        (["search", "--assertion", "quasi-fixed-point", "--params", "2"], "--size-bound/--params"),
+        (["search", "--assertion", "quasi-fixed-point", "--params", ""], "--params"),
+    ],
+)
+def test_out_of_range_flags_are_named(finite, capsys, argv, flags):
+    if argv[0] == "fix":
+        argv = [*argv, "--space", finite]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flags}: ")
+
+
 def test_search_rejects_bad_assertion_flag(capsys):
     with pytest.raises(SystemExit):
         main(["search", "--assertion", "made-up"])

@@ -253,6 +253,12 @@ def test_integer_line_constraints():
         parse_document(line_doc(metric={"type": "shortest_path"}))
 
 
+@pytest.mark.parametrize("u", [2, 3])
+def test_integer_line_adjacency_must_be_c1(u):
+    with pytest.raises(DocumentError, match=r'^adjacency.u: the "Z" domain uses the cu adjacency'):
+        parse_document(line_doc(adjacency={"type": "cu", "u": u}))
+
+
 def test_integer_line_maps_must_be_affine():
     doc = line_doc(maps=[{"name": "T", "pairs": [[[0], [0]]]}])
     with pytest.raises(DocumentError, match=r"maps\[0\]"):
