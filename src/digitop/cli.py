@@ -352,14 +352,17 @@ def _cmd_fpp(args, parser) -> int:
 def _cmd_search(args, parser) -> int:
     grid = None
     if args.params is not None:
+        if search.ASSERTIONS[args.assertion].param is None:
+            raise DocumentError("--params", f"{args.assertion} takes no parameter")
         try:
             grid = tuple(Fraction(part) for part in args.params.split(","))
         except (ValueError, ZeroDivisionError) as err:
             raise DocumentError("--params", str(err)) from None
     try:
         outcome = search.find_counterexample(args.assertion, args.size_bound, grid)
-    except ValueError as err:
-        flags = "--size-bound" if grid is None else "--size-bound/--params"
+    except (ValueError, EnumerationBudgetError) as err:
+        # A budget stop is the size bound's; a bad value may be either flag's.
+        flags = "--size-bound/--params" if grid and isinstance(err, ValueError) else "--size-bound"
         raise DocumentError(flags, str(err)) from None
     payload = {
         "command": "search",

@@ -218,7 +218,7 @@ def _scan(space: DigitalMetricSpace, terms: Callable, holds, minimal: bool = Tru
 
 
 # Level keys by pair of positions (i, j), shared by the checkers and the
-# searches' prefix constraints: (lhs key, base level), or Kannan's five
+# searches' narrowing: (lhs key, base level), or Kannan's five
 # levels with each sum's two ascending.  v is a map's table of value
 # positions; a two-map table is the first map's n followed by the second's.
 

@@ -10,6 +10,7 @@ on all of Z.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,9 +18,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .space import DigitalImage, Point, as_point, fmt_point
 
-#: The work one enumeration may do: the entries enumerate_tables tries, or
-#: the tables a product scan yields (6-point maps and 4-point pairs fit).
-ENUM_BUDGET = 4**8
+#: The work one enumeration may do: the nodes (entries assigned) of
+#: enumerate_tables, or the tables a product scan yields (6-point maps and
+#: 4-point pairs fit).  The largest single enumerations the searches reach
+#: take 113,201 nodes (quasi, size bound 9) and 94,130 (five-term, size
+#: bound 8).  Not 2**20: the budget stays below 7**7, so the product scan of
+#: every 7-point map (823,543 tables) is still refused.
+ENUM_BUDGET = 2**18
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -312,25 +317,33 @@ def enumerate_selfmaps(img: DigitalImage) -> Iterator[SelfMap]:
         yield SelfMap(img, values)
 
 
-def enumerate_tables(n: int, length: int, accept: Callable) -> Iterator[list[int]]:
-    """Int tables of `length` entries in range(n), depth first, in the order
-    of itertools.product; one list, filled in place.  After each new entry
-    k, accept(table, k) says whether a wanted table may start with
-    table[:k + 1] (reading no later entry); if not, its subtree is skipped.
-    Each entry tried (each accept call) counts against ENUM_BUDGET, and the
-    try past it raises EnumerationBudgetError: no scan is cut silently."""
-    table, k, left = [-1] * length, 0, ENUM_BUDGET
+def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]]:
+    """Int tables t with bit t[k] set in domains[k], depth first and lowest
+    bit first (the order of itertools.product); one list, filled in place.
+    Forward checking (Haralick & Elliott, Artif. Intell. 14, 1980): each
+    (j, mask) of narrow(t, k), for a later j and reading no entry past k, is
+    ANDed into j's domain below entry k, which is abandoned if one empties.
+    Each assignment is one node of ENUM_BUDGET; the one past it raises."""
+    last, left, table = len(domains) - 1, ENUM_BUDGET, [0] * len(domains)
+    # The domains in force at each depth, and the values not yet tried there.
+    doms, untried, k = [domains] * len(domains), [domains[0]] * len(domains), 0
     while k >= 0:
-        table[k] += 1
-        if table[k] == n:
-            table[k], k = -1, k - 1
-        elif (left := left - 1) < 0:
+        if not (bits := untried[k]):
+            k -= 1
+            continue
+        untried[k] = bits & bits - 1
+        if (left := left - 1) < 0:
             raise EnumerationBudgetError(f"enumeration budget of {ENUM_BUDGET} entries exceeded")
-        elif accept(table, k):
-            if k == length - 1:
-                yield table
-            else:
-                k += 1
+        table[k] = (bits & -bits).bit_length() - 1
+        if k == last:
+            yield table
+            continue
+        dom = doms[k].copy()
+        for j, mask in narrow(table, k):
+            dom[j] &= mask
+        if all(dom[k + 1 :]):
+            k += 1
+            doms[k], untried[k] = dom, dom[k]
 
 
 class FppVerdict(NamedTuple):
@@ -340,28 +353,26 @@ class FppVerdict(NamedTuple):
     counterexample: SelfMap | None
 
 
-def _fpp_prefix(img: DigitalImage, restrict_continuous: bool) -> Callable:
-    """Prefix constraint of a fixed-point-free (if restricted, continuous)
-    map: entry k is not k and, if restricted, equals or neighbours the
-    value at each earlier neighbour of k.  Every edge is checked at its
-    later end, so a complete table is admitted exactly when it is wanted."""
-    rows = img.neighbor_indices
-    near = [{i, *row} for i, row in enumerate(rows)]
-    earlier = [[j for j in r if j < i] if restrict_continuous else () for i, r in enumerate(rows)]
-    return lambda table, k: table[k] != k and all(table[k] in near[table[j]] for j in earlier[k])
-
-
 def has_fpp(img: DigitalImage, restrict_continuous: bool = True) -> FppVerdict:
-    """Decide the fixed-point property by a depth-first search over value
-    tables, skipping each prefix with a fixed point (or a broken edge).
+    """Decide the fixed-point property by a depth-first search over tables in
+    which no entry is its own position and, with restrict_continuous
+    (quantifying over continuous maps only), each edge narrows its later end
+    to the values equal or adjacent to the earlier end's.  The first table is
+    the lexicographically first witness.  ENUM_BUDGET bounds nodes, not size."""
+    n = len(img)
+    domains = [(1 << n) - 1 ^ 1 << k for k in range(n)]
+    # Each value's equal or adjacent values, and each entry's later neighbours.
+    near, later = [1 << i for i in range(n)], [()] * n
+    if restrict_continuous:
+        for i, row in enumerate(img.neighbor_indices):
+            later[i] = row[bisect_right(row, i) :]  # the rows ascend
+            for j in row:
+                near[i] |= 1 << j
 
-    With restrict_continuous the quantifier runs over digitally
-    continuous maps only.  The prefix constraint admits exactly the
-    fixed-point-free (continuous) tables, so the first table it admits
-    is the witness: the lexicographically first such map.  ENUM_BUDGET
-    bounds the entries tried; the image's size is not capped.
-    """
-    table = next(enumerate_tables(len(img), len(img), _fpp_prefix(img, restrict_continuous)), None)
+    def narrow(t, k):
+        return zip(later[k], itertools.repeat(near[t[k]]))
+
+    table = next(enumerate_tables(domains, narrow), None)
     if table is None:
         return FppVerdict(True, None)
     return FppVerdict(False, SelfMap(img, tuple(map(img.points.__getitem__, table))))

@@ -88,59 +88,51 @@ class _Assertion:
     param: str | None
     hypothesis: Callable
     conclusion: Callable
-    # The checker's level key by pair.  With one, the prefix decides the
-    # whole hypothesis: every complete table it admits is hypothesis-true.
+    # The checker's level key by pair.  With one, the narrowing decides the
+    # whole hypothesis: every complete table enumerated is hypothesis-true.
     terms: Callable | None = None
     within: bool = False  # the second map's values lie among the first's
-    increasing: bool = False  # each map's entries rise
+    increasing: bool = False  # each map's entries rise (on intervals only)
     one_dimensional_only: bool = False
 
-    def prefix(self, space: DigitalMetricSpace, value) -> Callable:
-        """accept(table, k) for enumerate_tables: necessary conditions of the hypothesis."""
-        if self.terms is None:
-            return lambda table, k: True
-        n, rank = len(space), space.rank
-        # A two-map key also takes n, the start of the second map's positions.
-        key = functools.partial(self.terms, *((rank, n) if self.arity == 2 else (rank,)))
-        holds = contracts._verdicts(space, contracts._bound, value)
-        return _prefix(key, holds, n, self.increasing, self.within)
 
+def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, within: bool):
+    """narrow(t, k) for enumerate_tables from a checker's level key by pair,
+    terms(rank, [n,] t, i, j), and its verdict memo: each later entry j of the
+    last map keeps the values for which (k, j) holds (each condition is
+    symmetric; (i, i) has lhs 0).  With within, the second map's values lie
+    among the first's.  Rows are kept by (k, t[k]) until the first map changes."""
+    n, first = len(space), (arity - 1) * len(space)
+    key = functools.partial(terms, space.rank, *(n,) * (arity - 1))
+    rows = {}
 
-def _prefix(key: Callable, holds, n: int, increasing=False, within=False) -> Callable:
-    """accept(table, k) for enumerate_tables from a checker's level key by
-    pair, key(table, i, q), and its verdict memo: the new entry's pairs hold."""
+    def narrow(t, k):
+        if k == first - 1:  # the first map is complete: its rows go stale
+            rows.clear()
+            if within:
+                image = sum(1 << v for v in set(t[:first]))
+                return [(j, image) for j in range(first, len(t))]
+        if k < first:
+            return ()
+        row = rows.get(k * n + t[k])
+        if row is None:
+            row = rows[k * n + t[k]] = []
+            s, q = t[: k + 1] + [0] * (len(t) - k - 1), k - first
+            for j in range(k + 1, len(s)):
+                mask = 0
+                for w in range(n):
+                    s[j] = w
+                    mask |= holds[key(s, q, j - first)] << w
+                if mask != (1 << n) - 1:  # a full mask narrows nothing
+                    row.append((j, mask))
+        return row
 
-    def accept(table, k):
-        if increasing and k % n and table[k - 1] >= table[k]:
-            return False
-        # A value is one of G's iff it first occurs among G's entries (so
-        # G's own entries pass).
-        if within and table.index(table[k]) >= n:
-            return False
-        # The pairs of the new entry with the earlier ones of its map (none
-        # for an entry of G in a two-map table); every condition here is
-        # symmetric in the pair.
-        q = k - len(table) + n
-        return all(holds[key(table, i, q)] for i in range(q + 1))
-
-    return accept
+    return narrow
 
 
 def _strictly_below(ar, levels, key) -> bool:
     """Banach's k < 1 on a pair: d(fx, fy) below d(x, y), or x = y."""
     return key[0] < key[1] or key[1] == 0
-
-
-def _contraction_prefix(space: DigitalMetricSpace) -> Callable:
-    """Prefix constraint of banach_verify's hypothesis, minimal constant < 1."""
-    holds = contracts._verdicts(space, _strictly_below)
-    return _prefix(functools.partial(contracts._contraction_terms, space.rank), holds, len(space))
-
-
-def _kannan_prefix(space: DigitalMetricSpace, a, b) -> Callable:
-    """Prefix constraint of check_kannan's inequality under (a, b)."""
-    holds = contracts._verdicts(space, contracts._kannan_bound, a, b)
-    return _prefix(functools.partial(contracts._kannan_terms, space.rank), holds, len(space))
 
 
 def _hyp_quasi(space, maps, r):
@@ -287,13 +279,17 @@ def _map_builder(img: DigitalImage) -> Callable:
     return functools.cache(lambda t: SelfMap(img, tuple(map(img.points.__getitem__, t))))
 
 
-def _sweep(space: DigitalMetricSpace, arity: int, accept: Callable, built) -> Iterator[tuple]:
-    """The maps of each table of `arity` maps that accept admits, in the
-    order of the product scan, made by built, a _map_builder of the
-    space's image.  A budget error names the space."""
+def _sweep(space, arity: int, built, terms=None, holds=None, within=False, increasing=False):
+    """The maps, made by built (a _map_builder of the space's image), of each
+    table of `arity` maps in product order: all, or with terms those whose
+    last map's pairs hold (_narrow).  With increasing, each entry is pinned to
+    its own position, since a strictly increasing self-map of a finite
+    interval is the identity.  A budget error names the space."""
     n = len(space)
+    domains = [1 << k % n if increasing else (1 << n) - 1 for k in range(arity * n)]
+    narrow = _narrow(space, arity, terms, holds, within) if terms else lambda t, k: ()
     try:
-        for table in enumerate_tables(n, arity * n, accept):
+        for table in enumerate_tables(domains, narrow):
             yield tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(f"{space.describe()}: {err}") from None
@@ -303,14 +299,15 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     """Scan every space/metric/parameter/map combination up to
     size_bound for a hypothesis-true, conclusion-false instance.
 
-    Map tables run depth first in lexicographic order, skipping each
-    prefix the assertion rejects; instances_scanned counts those too.  A
-    table a prefix constraint admits is hypothesis-true: only the rational
-    form, which has none, runs its hypothesis per table.
+    Map tables run depth first in lexicographic order, each entry's values
+    narrowed by the hypothesis's pairs with the entries before it;
+    instances_scanned counts the tables skipped too.  Every table
+    enumerated is hypothesis-true: only the rational form, which narrows
+    nothing, runs its hypothesis per table.
 
     Deterministic: the first witness in scan order is returned.  Raises
-    EnumerationBudgetError, naming the space, if one enumeration would try
-    more than mapkit.ENUM_BUDGET table entries, and ValueError for unknown
+    EnumerationBudgetError, naming the space, if one enumeration would
+    assign more than mapkit.ENUM_BUDGET entries, and ValueError for unknown
     assertions, out-of-range parameters, or size_bound < 1.
     """
     spec = ASSERTIONS.get(assertion)
@@ -339,7 +336,9 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
             space = DigitalMetricSpace(img, metric)
             spaces += 1
             for value in grid:
-                for maps in _sweep(space, spec.arity, spec.prefix(space, value), built):
+                holds = spec.terms and contracts._verdicts(space, contracts._bound, value)
+                pruned = (spec.terms, holds, spec.within, spec.increasing)
+                for maps in _sweep(space, spec.arity, built, *pruned):
                     if spec.terms is None and not spec.hypothesis(space, maps, value):
                         continue
                     hits += 1
@@ -429,16 +428,17 @@ def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
     return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
 
 
-def _theorem_sweep(name: str, spaces, grid, prefix: Callable, verify: Callable) -> SuiteEntry:
+def _theorem_sweep(name: str, spaces, grid, terms, rule, verify: Callable) -> SuiteEntry:
     """Tally verify(space, f, *coeffs) over every self-map f of each space,
-    for each coefficient tuple of grid.  Only the maps that prefix(space,
-    *coeffs) admits are verified; each table it prunes fails the hypothesis."""
+    for each coefficient tuple of grid.  Only the maps whose every pair
+    holds under rule (by its level key, terms) are verified; each table
+    pruned fails the hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
     for space in spaces:
         built = _map_builder(space.image)
         for coeffs in grid:
             survivors = 0
-            for (f,) in _sweep(space, 1, prefix(space, *coeffs), built):
+            for (f,) in _sweep(space, 1, built, terms, contracts._verdicts(space, rule, *coeffs)):
                 survivors += 1
                 counts[_TALLY[verify(space, f, *coeffs).conclusion]] += 1
             counts["hypothesis_failed"] += len(space) ** len(space) - survivors
@@ -446,9 +446,8 @@ def _theorem_sweep(name: str, spaces, grid, prefix: Callable, verify: Callable) 
 
 
 def _suite_contraction(spaces) -> SuiteEntry:
-    return _theorem_sweep(
-        "contraction-theorem-exhaustive", spaces, [()], _contraction_prefix, fixpoint.banach_verify
-    )
+    name, terms = "contraction-theorem-exhaustive", contracts._contraction_terms
+    return _theorem_sweep(name, spaces, [()], terms, _strictly_below, fixpoint.banach_verify)
 
 
 _EIGHTHS = tuple(Fraction(i, 8) for i in range(4))
@@ -456,9 +455,8 @@ _KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fract
 
 
 def _suite_two_coefficient(spaces, grid=_KANNAN_GRID) -> SuiteEntry:
-    return _theorem_sweep(
-        "two-coefficient-theorem-exhaustive", spaces, grid, _kannan_prefix, fixpoint.kannan_verify
-    )
+    name, rule = "two-coefficient-theorem-exhaustive", contracts._kannan_bound
+    return _theorem_sweep(name, spaces, grid, contracts._kannan_terms, rule, fixpoint.kannan_verify)
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:
@@ -539,14 +537,12 @@ def _suite_rational_ill_definedness() -> SuiteEntry:
 
 
 def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
-    # The prefix checks the bound on every pair: it admits exactly the pairs
-    # meeting it.
-    prefix = ASSERTIONS["sum-bound-common-fix"].prefix
-    pairs = [
-        maps
-        for space in spaces
-        for maps in _sweep(space, 2, prefix(space, xi), _map_builder(space.image))
-    ]
+    # The narrowing checks the bound on every pair: it admits exactly the
+    # pairs meeting it.
+    pairs = []
+    for space in spaces:
+        holds = contracts._verdicts(space, contracts._bound, xi)
+        pairs += _sweep(space, 2, _map_builder(space.image), _saluja_terms, holds)
     all_constant = all(j.is_constant and k.is_constant for j, k in pairs)
     img = digital_interval(0, 1)
     space = DigitalMetricSpace(img, L2)

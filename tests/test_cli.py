@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from digitop import mapkit
 from digitop.cli import main
 
 
@@ -437,6 +438,8 @@ def test_search_bad_params(capsys):
         (["search", "--assertion", "quasi-fixed-point", "--size-bound", "0"], "--size-bound"),
         (["search", "--assertion", "quasi-fixed-point", "--params", "2"], "--size-bound/--params"),
         (["search", "--assertion", "quasi-fixed-point", "--params", ""], "--params"),
+        # The rational form takes no parameter: a grid would be ignored.
+        (["search", "--assertion", "rational-alternating-common-fix", "--params", "2"], "--params"),
     ],
 )
 def test_out_of_range_flags_are_named(finite, capsys, argv, flags):
@@ -445,6 +448,15 @@ def test_out_of_range_flags_are_named(finite, capsys, argv, flags):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flags}: ")
+
+
+def test_a_budget_stop_names_the_size_bound(capsys, monkeypatch):
+    # The 3-point interval's largest five-term enumeration takes 15 nodes.
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 14)
+    argv = ["search", "--assertion", "five-term-fixed-point", "--size-bound", "3"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --size-bound: 3 point(s) in Z^1 with c1, metric l1: ")
 
 
 def test_search_rejects_bad_assertion_flag(capsys):

@@ -1,12 +1,13 @@
-"""The depth-first table enumerator, its prefix constraints, and the work
-it saves.
+"""The forward-checking table enumerator, the narrowings built on it, and
+the work they save.
 
-A prefix constraint may only reject a prefix that no wanted table
-completes; the soundness tests check that against brute force over every
-completion.  The assertions' and the FPP constraints are exact as well:
-the complete tables they admit are the wanted ones, so the searches
-check no hypothesis at a leaf.  The work counts pin how much the pruning
-skips and what the budget counts, with no timing asserts.
+A narrowing may only remove values that no wanted table takes; the
+exactness tests check against brute force that the complete tables left
+are exactly the wanted ones, so the searches, the suite sweeps and
+has_fpp check no hypothesis at a leaf.  Each narrowing runs on copies of
+the table with junk past the entry just assigned, so one that reads ahead
+fails.  The work counts pin how much the narrowing skips and what the
+budget counts, with no timing asserts.
 """
 
 import itertools
@@ -20,7 +21,6 @@ from digitop import contracts, fixpoint, mapkit, search
 from digitop.mapkit import (
     EnumerationBudgetError,
     SelfMap,
-    _fpp_prefix,
     enumerate_tables,
     fixed_points,
     has_fpp,
@@ -33,29 +33,56 @@ from digitop.search import (
     COUNTEREXAMPLE,
     DEFAULT_PARAM_GRID,
     EXHAUSTED,
-    _contraction_prefix,
-    _kannan_prefix,
     find_counterexample,
     small_connected_images,
+    verify_paper_suite,
 )
-from digitop.space import C2, DigitalImage, digital_interval
+from digitop.space import C1, C2, DigitalImage, digital_interval
 
 
-def test_an_accepting_search_visits_the_product_in_order():
-    tables = [tuple(t) for t in enumerate_tables(3, 4, lambda table, k: True)]
+def free(t, k):
+    return ()
+
+
+def test_an_unnarrowed_search_visits_the_product_in_order():
+    tables = [tuple(t) for t in enumerate_tables([0b111] * 4, free)]
     assert tables == list(itertools.product(range(3), repeat=4))
+    # Values come lowest bit first from each domain.
+    tables = [tuple(t) for t in enumerate_tables([0b101, 0b110], free)]
+    assert tables == list(itertools.product((0, 2), (1, 2)))
 
 
-def test_a_rejected_prefix_loses_its_whole_subtree():
+def test_a_narrowed_away_subtree_is_never_visited(monkeypatch):
     visited = []
 
-    def accept(table, k):
-        visited.append(tuple(table[: k + 1]))
-        return table[:2] != [0, 1]
+    def narrow(t, k):
+        visited.append(tuple(t[: k + 1]))
+        if t[: k + 1] == [0]:
+            return [(1, 0b01)]  # after a leading 0, entry 1 is 0
+        if t[: k + 1] == [1]:
+            return [(1, 0b11), (2, 0b00)]  # entry 2 has no value left
+        return ()
 
-    tables = [tuple(t) for t in enumerate_tables(2, 3, accept)]
-    assert tables == [t for t in itertools.product(range(2), repeat=3) if t[:2] != (0, 1)]
-    assert (0, 1, 0) not in visited and (0, 1, 1) not in visited
+    def run():
+        return [tuple(t) for t in enumerate_tables([0b11] * 3, narrow)]
+
+    assert run() == [(0, 0, 0), (0, 0, 1)]
+    assert visited == [(0,), (0, 0), (1,)]
+    # Each assignment is one node, the abandoned (1,) included: 2 + 1 + 2.
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 5)
+    assert run() == [(0, 0, 0), (0, 0, 1)]
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 4)
+    with pytest.raises(EnumerationBudgetError, match="budget of 4 "):
+        run()
+
+
+def reading_no_entry_past_k(narrow):
+    """narrow, handed a copy of each table with junk past entry k."""
+    return lambda t, k: narrow(t[: k + 1] + [None] * (len(t) - k - 1), k)
+
+
+def junk_fed(domains, narrow):
+    return enumerate_tables(domains, reading_no_entry_past_k(narrow))
 
 
 def table_maps(img, table, arity):
@@ -65,18 +92,19 @@ def table_maps(img, table, arity):
     return tuple(SelfMap(img, tuple(pts[v] for v in table[a : a + n])) for a in starts)
 
 
-def assert_sound(accept, n, length, wanted):
-    """Every prefix accept rejects has no completion that `wanted` holds on."""
-    prefixes = {table[:m] for table in wanted for m in range(1, length + 1)}
-    for m in range(1, length + 1):
-        for prefix in itertools.product(range(n), repeat=m):
-            # Entries past the prefix are junk: the constraint must not read them.
-            table = list(prefix) + [n] * (length - m)
-            if not accept(table, m - 1):
-                assert prefix not in prefixes, prefix
+@pytest.fixture
+def swept(monkeypatch):
+    """The tables search._sweep gives, its narrowing fed junk past k."""
+    monkeypatch.setattr(search, "enumerate_tables", junk_fed)
+
+    def tables(space, arity, *pruned):
+        sweep = search._sweep(space, arity, search._map_builder(space.image), *pruned)
+        return [tuple(v for f in maps for v in f.indices) for maps in sweep]
+
+    return tables
 
 
-PRUNED = [key for key, spec in ASSERTIONS.items() if spec.terms is not None]
+NARROWED = [key for key, spec in ASSERTIONS.items() if spec.terms is not None]
 SPACES = [
     DigitalMetricSpace(img, metric)
     for img in small_connected_images(3)
@@ -85,20 +113,17 @@ SPACES = [
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
-@pytest.mark.parametrize("assertion", PRUNED)
-def test_prefix_constraints_reject_no_hypothesis_true_table(assertion, space):
+@pytest.mark.parametrize("assertion", NARROWED)
+def test_each_narrowing_leaves_exactly_the_hypothesis_true_tables(assertion, space, swept):
     spec = ASSERTIONS[assertion]
     n = len(space)
-    length = spec.arity * n
-    tables = list(itertools.product(range(n), repeat=length))
+    tables = list(itertools.product(range(n), repeat=spec.arity * n))
     maps = [table_maps(space.image, t, spec.arity) for t in tables]
     for value in DEFAULT_PARAM_GRID:
         wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
-        accept = spec.prefix(space, value)
-        assert_sound(accept, n, length, wanted)
-        # Exact as well as sound, so the searches need no hypothesis check
-        # at the leaves (copied, since the enumerator reuses its list).
-        assert [tuple(t) for t in enumerate_tables(n, length, accept)] == wanted
+        holds = contracts._verdicts(space, contracts._bound, value)
+        pruned = (spec.terms, holds, spec.within, spec.increasing)
+        assert swept(space, spec.arity, *pruned) == wanted
 
 
 # The suite's theorem sweeps run on the intervals of 3 and 4 points; the
@@ -115,34 +140,65 @@ def self_maps(space):
 
 
 @pytest.mark.parametrize("space", THEOREM_SPACES, ids=repr)
-def test_the_contraction_prefix_rejects_no_hypothesis_true_map(space):
+def test_the_contraction_narrowing_leaves_exactly_the_hypothesis_true_maps(space, swept):
     tables, maps = self_maps(space)
     wanted = [t for t, f in zip(tables, maps) if fixpoint.banach_verify(space, f).hypothesis.holds]
-    assert_sound(_contraction_prefix(space), len(space), len(space), wanted)
+    holds = contracts._verdicts(space, search._strictly_below)
+    assert swept(space, 1, contracts._contraction_terms, holds) == wanted
 
 
 @pytest.mark.parametrize("space", THEOREM_SPACES, ids=repr)
 @pytest.mark.parametrize("a, b", _KANNAN_GRID + ((Fraction(1, 5), Fraction(1, 4)),), ids=str)
-def test_the_kannan_prefix_rejects_no_hypothesis_true_map(space, a, b):
+def test_the_kannan_narrowing_leaves_exactly_the_hypothesis_true_maps(space, a, b, swept):
     tables, maps = self_maps(space)
     wanted = [t for t, f in zip(tables, maps) if contracts.check_kannan(space, f, a, b).holds]
-    assert_sound(_kannan_prefix(space, a, b), len(space), len(space), wanted)
+    holds = contracts._verdicts(space, contracts._kannan_bound, a, b)
+    assert swept(space, 1, contracts._kannan_terms, holds) == wanted
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """Every table has_fpp's enumeration gives, its narrowing fed junk past k."""
+    tables = []
+
+    def exhaustive(domains, narrow):
+        tables[:] = [tuple(t) for t in enumerate_tables(domains, reading_no_entry_past_k(narrow))]
+        return iter(tables)
+
+    monkeypatch.setattr(mapkit, "enumerate_tables", exhaustive)
+    return tables
 
 
 @pytest.mark.parametrize("restrict_continuous", (True, False), ids=("continuous", "all-maps"))
 @pytest.mark.parametrize("img", small_connected_images(4), ids=lambda img: img.describe())
-def test_fpp_prefix_rejects_no_fixed_point_free_map(img, restrict_continuous):
+def test_has_fpp_leaves_exactly_the_fixed_point_free_maps(img, restrict_continuous, enumerated):
     n = len(img)
     wanted = []
     for t in itertools.product(range(n), repeat=n):
         (f,) = table_maps(img, t, 1)
         if not fixed_points(f) and (is_continuous(f) or not restrict_continuous):
             wanted.append(t)
-    accept = _fpp_prefix(img, restrict_continuous)
-    assert_sound(accept, n, n, wanted)
-    # Exact as well as sound: the complete tables it admits are the wanted
-    # ones (copied, since the enumerator reuses its list).
-    assert [tuple(t) for t in enumerate_tables(n, n, accept)] == wanted
+    verdict = has_fpp(img, restrict_continuous)
+    assert enumerated == wanted
+    assert verdict.holds == (not wanted)
+
+
+def summary(outcome):
+    space = outcome.space and outcome.space.describe()
+    return outcome.status, space, [f.values for f in outcome.maps], outcome.param, outcome.stats
+
+
+@pytest.mark.parametrize("assertion", sorted(ASSERTIONS))
+def test_no_search_narrowing_reads_an_entry_past_k(assertion, monkeypatch):
+    expected = summary(find_counterexample(assertion, 4))
+    monkeypatch.setattr(search, "enumerate_tables", junk_fed)
+    assert summary(find_counterexample(assertion, 4)) == expected
+
+
+def test_no_suite_narrowing_reads_an_entry_past_k(monkeypatch):
+    expected = verify_paper_suite()
+    monkeypatch.setattr(search, "enumerate_tables", junk_fed)
+    assert verify_paper_suite() == expected
 
 
 def counting(calls: Counter, name: str, fn):
@@ -175,16 +231,29 @@ def test_only_the_rational_search_checks_its_hypothesis_per_table(monkeypatch):
     assert calls["parv_rational_check"] >= 1
 
 
-def test_the_budget_counts_every_entry_a_search_tries(monkeypatch):
-    # The largest enumerations of this search, on the 3-point interval with
-    # r = 1/2 or 3/4, try 27 entries; the first is under l_1 with r = 1/2.
+def test_the_budget_counts_every_entry_a_search_assigns(monkeypatch):
+    # The largest enumeration of this search assigns 15 entries, on the
+    # 3-point interval; the first to need them is under l_1.
     expected = find_counterexample("five-term-fixed-point", 3)
-    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 27)
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 15)
     assert find_counterexample("five-term-fixed-point", 3) == expected
-    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 26)
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 14)
     space = DigitalMetricSpace(digital_interval(0, 2), L1).describe()
     with pytest.raises(EnumerationBudgetError, match=re.escape(space + ": ")):
         find_counterexample("five-term-fixed-point", 3)
+
+
+@pytest.mark.parametrize(
+    "assertion, size_bound, hits",
+    (("quasi-fixed-point", 9, 444_469), ("five-term-fixed-point", 8, 505_698)),
+)
+def test_searches_past_the_old_budget_exhaust(assertion, size_bound, hits):
+    # The largest enumerations assign 113,201 entries (quasi, the 9-point
+    # interval) and 94,130 (five-term): both were budget errors before
+    # forward checking.
+    outcome = find_counterexample(assertion, size_bound)
+    assert outcome.status == EXHAUSTED
+    assert outcome.stats["hypothesis_hits"] == hits
 
 
 def test_a_search_builds_only_the_images_it_reaches(monkeypatch):
@@ -200,18 +269,22 @@ def test_a_search_builds_only_the_images_it_reaches(monkeypatch):
 @pytest.mark.parametrize(
     "img",
     (
+        *small_connected_images(6),
         digital_interval(0, 6),
-        DigitalImage([(i, j) for i in range(3) for j in range(3)], C2),
+        *(DigitalImage([(i, j) for i in range(3) for j in range(3)], adj) for adj in (C1, C2)),
         digital_interval(0, 11),
     ),
     ids=lambda img: img.describe(),
 )
 @pytest.mark.parametrize("restrict_continuous", (True, False), ids=("continuous", "all-maps"))
-def test_has_fpp_answers_past_the_product_budget(img, restrict_continuous):
+def test_has_fpp_answers_after_at_most_n_entries_assigned(img, restrict_continuous, monkeypatch):
+    # Past the product budget too: 7**7 tables and more.
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", len(img))
     verdict = has_fpp(img, restrict_continuous)
-    assert not verdict.holds
-    assert not fixed_points(verdict.counterexample)
-    assert is_continuous(verdict.counterexample) or not restrict_continuous
+    assert verdict.holds == (len(img) == 1)
+    if not verdict.holds:
+        assert not fixed_points(verdict.counterexample)
+        assert is_continuous(verdict.counterexample) or not restrict_continuous
 
 
 def test_has_fpp_builds_few_maps(monkeypatch):
