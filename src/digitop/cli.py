@@ -251,11 +251,15 @@ def _cmd_fix(args, parser) -> int:
     doc = load_document(args.space)
     name = _require_map(args, parser)
     m = doc.get_map(name)
+    given = (("--start", args.start), ("--max-steps", args.max_steps))
     if isinstance(m, AffineMapZ):
+        # The affine report runs no orbit, so it reads none of these flags.
+        unread = [flag for flag, value in (*given, ("--map2", args.map2)) if value is not None]
+        if unread:
+            raise DocumentError("/".join(unread), "does not apply to a map of the integer line")
         return _affine_report(args, {"command": "fix", "map": name}, m)
     second = doc.get_map(args.map2) if args.map2 else None
     # Only the flags given can make an orbit fail; its error names them.
-    given = (("--start", args.start), ("--max-steps", args.max_steps))
     flags = "/".join(flag for flag, value in given if value is not None)
 
     def run(start):
@@ -301,8 +305,8 @@ def _parse_point_set(doc: ParsedDocument, text: str, flag: str):
         decoded = json.loads(text)
     except json.JSONDecodeError:
         raise DocumentError(flag, f"not a point array: {text!r}") from None
-    if not isinstance(decoded, list):
-        raise DocumentError(flag, "expected a JSON array of points")
+    if not isinstance(decoded, list) or not decoded:
+        raise DocumentError(flag, "expected a nonempty JSON array of points")
     try:
         pts = [as_point(v) for v in decoded]
     except TypeError as err:
@@ -318,10 +322,7 @@ def _cmd_hausdorff(args, parser) -> int:
     _finite_space(doc)
     first = _parse_point_set(doc, args.first, "--first")
     second = _parse_point_set(doc, args.second, "--second")
-    try:
-        value = metric.hausdorff(doc.space, first, second)
-    except ValueError as err:
-        raise DocumentError("--first/--second", str(err)) from None
+    value = metric.hausdorff(doc.space, first, second)
     payload = {"command": "hausdorff", "distance": _value_json(value)}
     _emit(args, payload, [f"hausdorff distance: {value_str(value)}"])
     return 0

@@ -1,7 +1,10 @@
 """Evaluators for the contractive-type conditions studied here.
 
 Every check quantifies over ordered pairs (x, y), diagonal included,
-and reports the lexicographically least violation.  Checks run on
+and reports the lexicographically least violation.  A pairwise
+condition asks one or both of two questions of a map: _witness finds
+that least failing pair, and _constant the least constant that would
+make the condition hold, with the first pair reaching it.  Checks run on
 canonical point positions and the levels of the space's distances, so
 each map must be a self-map of the space's own points.  On spaces whose
 distances are exact (word metric, taxicab, Euclidean) the verdicts are
@@ -154,57 +157,31 @@ def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> b
     return ar.le(lhs, ar.scale(a, x + y) + ar.scale(b, u + w))
 
 
-class _Scan(NamedTuple):
-    """One pass of a pairwise condition, lhs <= coeff * base or another.
-
-    witness is the first violating pair; constant is the largest
-    lhs / base over pairs with positive base (0 when there are none) and
-    worst the first pair reaching it; no_finite marks a pair with zero
-    base against a positive lhs, which leaves constant None.
-    """
-
-    witness: tuple[Point, Point] | None
-    constant: object
-    worst: tuple[Point, Point] | None
-    no_finite: bool
-
-    def report(self, space: DigitalMetricSpace) -> ConditionReport:
-        return ConditionReport(
-            holds=self.witness is None,
-            witness=self.witness,
-            minimal_constant=self.constant,
-            no_finite_constant=self.no_finite,
-            exact=space.comparison_tolerance is None,
-        )
+def _witness(space: DigitalMetricSpace, terms: Callable, holds) -> tuple[Point, Point] | None:
+    """The first pair of canonical positions (i, j), in lexicographic order
+    with the diagonal, whose level key terms(i, j) fails holds[key]; None
+    when every pair holds."""
+    pts = space.points
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        if not holds[terms(i, j)]:
+            return pts[i], pts[j]
+    return None
 
 
-def _scan(space: DigitalMetricSpace, terms: Callable, holds, minimal: bool = True) -> _Scan:
-    """The pairwise evaluator behind every pairwise condition.
+def _constant(space: DigitalMetricSpace, terms: Callable) -> tuple:
+    """(constant, worst, no_finite) of keys terms(i, j) = (lhs key, base level).
 
-    terms(i, j) gives the level key of the pair of canonical positions
-    (i, j) and holds[key] its verdict (holds None: only the constant is
-    sought); pairs run in lexicographic order, diagonal included.  With
-    minimal False the scan stops at the first violation.  Otherwise keys
-    are (lhs key, base level), and the witness and the constant come from
-    the distinct keys in order of first appearance, each with its first
-    pair, as a scan of every pair would.
+    constant is the largest lhs / base over pairs with positive base (0
+    when there are none) and worst the first pair reaching it; no_finite
+    marks a pair with zero base against a positive lhs, which leaves
+    constant None.  Each distinct key is weighed once, with its first pair.
     """
     pts = space.points
-    pairs = itertools.product(range(len(pts)), repeat=2)
-    if not minimal:
-        for i, j in pairs:
-            if not holds[terms(i, j)]:
-                return _Scan((pts[i], pts[j]), None, None, False)
-        return _Scan(None, None, None, False)
     first: dict = {}
-    for i, j in pairs:
+    for i, j in itertools.product(range(len(pts)), repeat=2):
         first.setdefault(terms(i, j), (pts[i], pts[j]))
-    witness = None
-    if holds is not None:
-        witness = next((pair for key, pair in first.items() if not holds[key]), None)
     ar, levels = _Arith(space), space.levels
-    best = worst = None
-    no_finite = False
+    best, worst, no_finite = None, None, False
     for (lhs_key, base_level), pair in first.items():
         lhs, base = _lhs(levels, lhs_key), levels[base_level]
         if ar.positive(base):
@@ -214,7 +191,19 @@ def _scan(space: DigitalMetricSpace, terms: Callable, holds, minimal: bool = Tru
         elif ar.positive(lhs):
             no_finite = True
     constant = None if no_finite else (Fraction(0) if best is None else best)
-    return _Scan(witness, constant, worst, no_finite)
+    return constant, worst, no_finite
+
+
+def _report(space: DigitalMetricSpace, witness, constant=None) -> ConditionReport:
+    """A pairwise condition's report: its witness and, if sought, its _constant."""
+    value, _, no_finite = constant or (None, None, False)
+    return ConditionReport(
+        holds=witness is None,
+        witness=witness,
+        minimal_constant=value,
+        no_finite_constant=no_finite,
+        exact=space.comparison_tolerance is None,
+    )
 
 
 # Level keys by pair of positions (i, j), shared by the checkers and the
@@ -257,13 +246,14 @@ def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True)
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
     k = _unit_fraction(k, "k")
     terms = partial(_contraction_terms, space.rank, _positions(space, f))
-    return _scan(space, terms, _verdicts(space, _bound, k), minimal).report(space)
+    constant = _constant(space, terms) if minimal else None
+    return _report(space, _witness(space, terms, _verdicts(space, _bound, k)), constant)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
     """Least k with d(fx, fy) <= k * d(x, y) everywhere; 0 on singletons."""
     terms = partial(_contraction_terms, space.rank, _positions(space, f))
-    return _scan(space, terms, None).constant
+    return _constant(space, terms)[0]
 
 
 def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport:
@@ -279,21 +269,23 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     if a + b >= Fraction(1, 2):
         raise ValueError(f"need a + b < 1/2, got {a + b}")
     terms = partial(_kannan_terms, space.rank, _positions(space, t))
-    return _scan(space, terms, _verdicts(space, _kannan_bound, a, b), False).report(space)
+    return _report(space, _witness(space, terms, _verdicts(space, _kannan_bound, a, b)))
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
     r = _unit_fraction(r, "r")
     terms = partial(_quasi_terms, space.rank, _positions(space, t))
-    return _scan(space, terms, _verdicts(space, _bound, r), minimal).report(space)
+    constant = _constant(space, terms) if minimal else None
+    return _report(space, _witness(space, terms, _verdicts(space, _bound, r)), constant)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
     r = _unit_fraction(r, "r")
     terms = partial(_ciric5_terms, space.rank, _positions(space, t))
-    return _scan(space, terms, _verdicts(space, _bound, r), minimal).report(space)
+    constant = _constant(space, terms) if minimal else None
+    return _report(space, _witness(space, terms, _verdicts(space, _bound, r)), constant)
 
 
 def check_pair_domination(
@@ -303,8 +295,9 @@ def check_pair_domination(
     rho = _unit_fraction(rho, "rho")
     table = _positions(space, g) + _positions(space, h)
     terms = partial(_domination_terms, space.rank, len(space), table)
-    scan = _scan(space, terms, _verdicts(space, _bound, rho), minimal)
-    return PairDominationReport(scan.report(space), h.image_set <= g.image_set)
+    constant = _constant(space, terms) if minimal else None
+    report = _report(space, _witness(space, terms, _verdicts(space, _bound, rho)), constant)
+    return PairDominationReport(report, h.image_set <= g.image_set)
 
 
 def check_saluja(
@@ -319,8 +312,9 @@ def check_saluja(
     xi = _unit_fraction(xi, "xi")
     table = _positions(space, j) + _positions(space, k)
     terms = partial(_saluja_terms, space.rank, len(space), table)
-    scan = _scan(space, terms, _verdicts(space, _bound, xi), minimal)
-    return ConstancyReport(scan.report(space), j.is_constant, k.is_constant)
+    constant = _constant(space, terms) if minimal else None
+    report = _report(space, _witness(space, terms, _verdicts(space, _bound, xi)), constant)
+    return ConstancyReport(report, j.is_constant, k.is_constant)
 
 
 def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> ConditionReport:

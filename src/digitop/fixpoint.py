@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .contracts import ConditionReport, _Arith, _contraction_terms, _positions, _scan, check_kannan
+from . import contracts
+from .contracts import ConditionReport, _Arith, _positions, check_kannan
 from .mapkit import EVENTUALLY_CONSTANT, OrbitReport, SelfMap, _iterate, fixed_points, orbit
 from .metric import DigitalMetricSpace
 from .space import Point, as_point, fmt_point
@@ -120,15 +121,10 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
     the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
     """
     ar = _Arith(space)
-    scan = _scan(space, partial(_contraction_terms, space.rank, _positions(space, f)), None)
-    k_min = scan.constant
-    holds = ar.below_one(k_min)
-    hypothesis = ConditionReport(
-        holds=holds,
-        witness=None if holds else scan.worst,
-        minimal_constant=k_min,
-        exact=ar.exact,
-    )
+    terms = partial(contracts._contraction_terms, space.rank, _positions(space, f))
+    constant = contracts._constant(space, terms)
+    k_min, worst, _ = constant
+    hypothesis = contracts._report(space, None if ar.below_one(k_min) else worst, constant)
     d = space.index_distance
 
     def descends(seq, n):
@@ -185,8 +181,10 @@ def t_stability_verdict(space: DigitalMetricSpace, t: SelfMap, p) -> StabilityVe
     e_n = d(y_{n+1}, T y_n) tend to 0 are exact orbits from some index
     on, so stability reduces to: every Picard orbit settles at p.
     """
-    p = as_point(p)
-    if t(p) != p:
+    p, v, index = as_point(p), _positions(space, t), space.image.index
+    if p not in index:
+        raise ValueError(f"{fmt_point(p)} is not a point of the space")
+    if v[index[p]] != index[p]:
         raise ValueError(f"{fmt_point(p)} is not a fixed point")
     for start in space.image.points:
         rep = orbit(t, start)

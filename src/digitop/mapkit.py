@@ -325,8 +325,11 @@ def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]
     ANDed into j's domain below entry k, which is abandoned if one empties.
     Each assignment is one node of ENUM_BUDGET; the one past it raises."""
     last, left, table = len(domains) - 1, ENUM_BUDGET, [0] * len(domains)
-    # The domains in force at each depth, and the values not yet tried there.
+    # The domains in force at each depth, and the values not yet tried there;
+    # a depth shares its parent's list until a row narrows it.
     doms, untried, k = [domains] * len(domains), [domains[0]] * len(domains), 0
+    if not all(domains[1:]):  # then no node goes below the first entry
+        doms[0] = domains[:1] + [0] * last
     while k >= 0:
         if not (bits := untried[k]):
             k -= 1
@@ -338,10 +341,14 @@ def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]
         if k == last:
             yield table
             continue
-        dom = doms[k].copy()
+        dom = doms[k]
         for j, mask in narrow(table, k):
+            if dom is doms[k]:
+                dom = dom.copy()
             dom[j] &= mask
-        if all(dom[k + 1 :]):
+            if not dom[j]:
+                break
+        else:
             k += 1
             doms[k], untried[k] = dom, dom[k]
 

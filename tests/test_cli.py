@@ -82,6 +82,23 @@ def integer_line(tmp_path):
     )
 
 
+@pytest.fixture
+def l3_plane(tmp_path):
+    return write(
+        tmp_path,
+        "l3.json",
+        {
+            "dimension": 2,
+            "points": [[0, 0], [1, 0], [1, 1]],
+            "adjacency": {"type": "cu", "u": 2},
+            "metric": {"type": "lp", "p": 3},
+            "maps": [
+                {"name": "T", "pairs": [[[0, 0], [1, 1]], [[1, 0], [0, 0]], [[1, 1], [1, 1]]]}
+            ],
+        },
+    )
+
+
 # -- check-map -------------------------------------------------------
 
 
@@ -178,6 +195,39 @@ def test_classify_affine_pair_both_orientations(integer_line, capsys):
     assert "no_finite_constant=True" in out
 
 
+def test_classify_single_affine_map(integer_line, capsys):
+    argv = ["classify", "--space", integer_line, "--map", "G"]
+    assert run(argv, capsys) == (
+        0,
+        "classification on the integer line:\n  fixed-points: kind=none point=None\n",
+        "",
+    )
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["conditions"]
+    assert rows == [{"condition": "fixed-points", "kind": "none", "point": None}]
+
+
+def test_classify_l3_constants_print_as_floats(l3_plane, capsys):
+    # 2^(1/3) = d((0,0), (1,1)) in l_3 is neither an integer nor a surd.
+    argv = ["classify", "--space", l3_plane, "--map", "T"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  contraction: minimal_constant=1.2599210498948732 holds_below_one=False",
+        "  quasi-max: minimal_constant=1.2599210498948732 holds_below_one=False",
+        "  five-term-max: minimal_constant=1.0 holds_below_one=False",
+    ]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert '"minimal_constant": 1.2599210498948732' in out
+    assert [r["minimal_constant"] for r in json.loads(out)["conditions"]] == [
+        1.2599210498948732,
+        1.2599210498948732,
+        1.0,
+    ]
+
+
 # -- fix -------------------------------------------------------------
 
 
@@ -265,6 +315,33 @@ def test_fix_bad_start(finite, capsys):
     assert "error: --start" in err
 
 
+@pytest.mark.parametrize("start", ['"a"', "[1.5]", "true", "[[0]]"])
+def test_fix_start_that_is_not_a_point(finite, capsys, start):
+    code, out, err = run(["fix", "--space", finite, "--map", "T", "--start", start], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --start: not a lattice point: ")
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        (["--start", "1"], "--start"),
+        (["--max-steps", "0"], "--max-steps"),
+        (["--map2", "nowhere"], "--map2"),
+        (["--map2", "G", "--start", "3", "--max-steps", "2"], "--start/--max-steps/--map2"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fix_on_the_integer_line_refuses_orbit_flags(integer_line, capsys, extra, flags, fmt):
+    # The affine report runs no orbit: a flag it would ignore is refused.
+    argv = ["fix", "--space", integer_line, "--map", "G", "--format", fmt, *extra]
+    assert run(argv, capsys) == (
+        2,
+        "",
+        f"error: {flags}: does not apply to a map of the integer line\n",
+    )
+
+
 # -- hausdorff -------------------------------------------------------
 
 
@@ -303,6 +380,31 @@ def test_hausdorff_rejects_alien_points(finite, capsys):
     )
     assert code == 2
     assert err == "error: --first: 9 is not a point of the space\n"
+
+
+def test_hausdorff_l3_distance_prints_as_a_float(l3_plane, capsys):
+    argv = ["hausdorff", "--space", l3_plane, "--first", "[[0, 0]]", "--second", "[[1, 1]]"]
+    assert run(argv, capsys) == (0, "hausdorff distance: 1.2599210498948732\n", "")
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"command": "hausdorff", "distance": 1.2599210498948732}
+
+
+@pytest.mark.parametrize("flag", ["--first", "--second"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("[]", "expected a nonempty JSON array of points"),
+        ("{}", "expected a nonempty JSON array of points"),
+        ("[[0]", "not a point array: '[[0]'"),
+        ("[0.5]", "not a lattice point: 0.5"),
+        ('["a"]', "not a lattice point: 'a'"),
+    ],
+)
+def test_hausdorff_names_only_the_bad_subset(finite, capsys, flag, value, message):
+    subsets = {"--first": "[[0]]", "--second": "[[2]]", flag: value}
+    argv = ["hausdorff", "--space", finite, *(x for kv in subsets.items() for x in kv)]
+    assert run(argv, capsys) == (2, "", f"error: {flag}: {message}\n")
 
 
 # -- fpp -------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_round_trip_is_canonical():
     assert again == first
 
 
+def test_round_trip_shortest_path():
+    first = serialize_document(parse_document(finite_doc(metric={"type": "shortest_path"})))
+    assert first["metric"] == {"type": "shortest_path"}
+    parsed = parse_document(first)
+    assert isinstance(parsed.metric, ShortestPath)
+    assert serialize_document(parsed) == first
+
+
 def test_round_trip_integer_line():
     first = serialize_document(parse_document(line_doc()))
     assert first["points"] == "Z"
@@ -156,6 +164,12 @@ def test_metric_validation():
         parse_document(finite_doc(metric={"type": "lp", "p": "1/2"}))
 
 
+@pytest.mark.parametrize("p", [True, [3]])
+def test_exponent_of_the_wrong_type(p):
+    with pytest.raises(DocumentError, match=r"metric\.p: expected a rational, got "):
+        parse_document(finite_doc(metric={"type": "lp", "p": p}))
+
+
 def test_float_exponent_rejected_with_advice():
     with pytest.raises(
         DocumentError, match='float literals are not allowed; write "num/den"'
@@ -177,6 +191,8 @@ def test_points_validation():
         parse_document(finite_doc(points="Q"))
     with pytest.raises(DocumentError, match="points: duplicate points"):
         parse_document(finite_doc(points=[[0], [1], [1]]))
+    with pytest.raises(DocumentError, match=r"points\[1\]: expected a coordinate array, got 1"):
+        parse_document(finite_doc(points=[[0], 1]))
     with pytest.raises(DocumentError, match=r"points\[1\]: expected 1 coordinate"):
         parse_document(finite_doc(points=[[0], [1, 2]]))
     with pytest.raises(DocumentError, match=r"points\[0\]\[0\]: expected an integer"):

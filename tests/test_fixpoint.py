@@ -349,3 +349,14 @@ def test_stability_requires_fixed_target():
     t = themap(S3, {0: 0, 1: 0, 2: 1})
     with pytest.raises(ValueError):
         t_stability_verdict(S3, t, 2)
+
+
+def test_stability_refuses_a_target_outside_the_space():
+    t = themap(S3, {0: 0, 1: 0, 2: 1})
+    with pytest.raises(ValueError, match="9 is not a point of the space"):
+        t_stability_verdict(S3, t, 9)
+
+
+def test_stability_refuses_a_map_of_another_space():
+    with pytest.raises(ValueError, match="domain is not the space's point set"):
+        t_stability_verdict(S3, SelfMap.constant(S4.image, 0), 0)

@@ -8,12 +8,14 @@ Worked oracles in this file:
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from digitop import mapkit
 from digitop.mapkit import (
     ENUM_BUDGET,
     EVENTUALLY_CONSTANT,
@@ -31,6 +33,7 @@ from digitop.mapkit import (
     compose,
     continuity_violation,
     enumerate_selfmaps,
+    enumerate_tables,
     fixed_points,
     has_fpp,
     is_continuous,
@@ -280,6 +283,59 @@ def test_enumeration_budget():
     assert 6**6 <= ENUM_BUDGET < 7**7  # six points is the product scan's ceiling
     with pytest.raises(EnumerationBudgetError):
         list(enumerate_selfmaps(digital_interval(0, 6)))
+
+
+def seeded_narrow(seed, length):
+    """A narrowing of tables of this length that reads only t[:k + 1]: for
+    each prefix, random rows (often none) with random masks, empty ones
+    included."""
+
+    def narrow(t, k):
+        rng = random.Random(f"{seed}:{t[: k + 1]}")
+        if rng.random() < 0.5:
+            return ()
+        return [(j, rng.randrange(8)) for j in range(k + 1, length) if rng.random() < 0.6]
+
+    return narrow
+
+
+def forward_checking_reference(domains, narrow):
+    """(leaves, nodes) of forward checking as first stated: every node copies
+    its domains and abandons its subtree if any later domain is empty."""
+    leaves, nodes = [], 0
+
+    def visit(t, doms):
+        nonlocal nodes
+        k = len(t)
+        for v in (v for v in range(8) if doms[k] >> v & 1):
+            nodes += 1
+            if k == len(doms) - 1:
+                leaves.append((*t, v))
+                continue
+            dom = list(doms)
+            for j, mask in narrow([*t, v], k):
+                dom[j] &= mask
+            if all(dom[k + 1 :]):
+                visit([*t, v], dom)
+
+    visit([], domains)
+    return leaves, nodes
+
+
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=4), st.integers(0, 99))
+def test_forward_checking_matches_the_copying_reference(domains, seed):
+    narrow = seeded_narrow(seed, len(domains))
+    leaves, nodes = forward_checking_reference(domains, narrow)
+
+    def run(budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mapkit, "ENUM_BUDGET", budget)
+            return [tuple(t) for t in enumerate_tables(domains, narrow)]
+
+    assert run(nodes) == leaves  # the same leaves, in order, within nodes
+    if nodes:
+        with pytest.raises(EnumerationBudgetError):
+            run(nodes - 1)
 
 
 def test_fpp_holds_only_on_singleton():
