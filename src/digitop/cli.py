@@ -10,6 +10,7 @@ key order; identical inputs give byte-identical output).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -209,14 +210,14 @@ def _cmd_classify(args, parser) -> int:
     if doc.is_integer_line:
         rows = _classify_affine(doc, m, args.map2)
         header = "classification on the integer line:"
-    elif args.map2:
+    elif args.map2 is not None:
         rows = _classify_finite_pair(doc.space, m, doc.get_map(args.map2))
         header = f"classification on {doc.space.describe()}:"
     else:
         rows = _classify_finite_single(doc.space, m)
         header = f"classification on {doc.space.describe()}:"
     payload = {"command": "classify", "map": name, "conditions": rows}
-    if args.map2:
+    if args.map2 is not None:
         payload["map2"] = args.map2
     lines = [header]
     for row in rows:
@@ -258,7 +259,7 @@ def _cmd_fix(args, parser) -> int:
         if unread:
             raise DocumentError("/".join(unread), "does not apply to a map of the integer line")
         return _affine_report(args, {"command": "fix", "map": name}, m)
-    second = doc.get_map(args.map2) if args.map2 else None
+    second = None if args.map2 is None else doc.get_map(args.map2)
     # Only the flags given can make an orbit fail; its error names them.
     flags = "/".join(flag for flag, value in given if value is not None)
 
@@ -423,6 +424,8 @@ _SHARED = {
 }
 
 
+# Built once per process, on the first main() call; each parse makes a fresh Namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="digitop",

@@ -9,10 +9,11 @@ All values here are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 Point = tuple[int, ...]
 
@@ -25,7 +26,8 @@ def as_point(value) -> Point:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return (value,)
-    if isinstance(value, Iterable) and not isinstance(value, (str, bytes)):
+    # JSON documents give lists: test for one before the slower ABC check.
+    if isinstance(value, (list, Iterable)) and not isinstance(value, (str, bytes)):
         coords = tuple(value)
         if all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
             return coords

@@ -5,12 +5,16 @@ Exit code contract: 0 success, 1 failed verification under
 flags).  JSON output must be byte-stable across runs.
 """
 
+import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import digitop
 from digitop import mapkit
 from digitop.cli import main
 
@@ -268,6 +272,23 @@ def test_fix_alternating(two_point, capsys):
     assert out == "0 -> 1 -> 1 -> 0 -> 0: eventually periodic (period 4)\n"
 
 
+@pytest.mark.parametrize("command", ["fix", "classify"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_empty_map2_is_a_map_name(finite, capsys, command, fmt):
+    # No map has an empty name, so --map2 "" is refused, not read as absent.
+    argv = [command, "--space", finite, "--map", "T", "--map2", "", "--format", fmt]
+    assert run(argv, capsys) == (
+        2,
+        "",
+        "error: maps: no map named ''; document has: J, S, T\n",
+    )
+
+
+def test_classify_on_the_integer_line_refuses_an_empty_map2(integer_line, capsys):
+    argv = ["classify", "--space", integer_line, "--map", "G", "--map2", ""]
+    assert run(argv, capsys) == (2, "", "error: maps: no map named ''; document has: G, H\n")
+
+
 # Affine maps of Z by the kind of their fixed-point set: (p, q, point).
 AFFINE = {"none": (1, 1, None), "single": (3, 4, -2), "all": (1, 0, None)}
 
@@ -328,6 +349,7 @@ def test_fix_start_that_is_not_a_point(finite, capsys, start):
         (["--start", "1"], "--start"),
         (["--max-steps", "0"], "--max-steps"),
         (["--map2", "nowhere"], "--map2"),
+        (["--map2", ""], "--map2"),
         (["--map2", "G", "--start", "3", "--max-steps", "2"], "--start/--max-steps/--map2"),
     ],
 )
@@ -703,3 +725,103 @@ def test_console_entry_point(finite):
     )
     assert proc.returncode == 0
     assert "fixed points: 0" in proc.stdout
+
+
+# -- one parser per process ------------------------------------------
+
+
+def child_env(**extra):
+    """The environment of a new interpreter that imports the digitop under test."""
+    src = str(Path(digitop.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, **extra, PYTHONPATH=path)
+
+
+def fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "digitop.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(COLUMNS="80"),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_answers_as_a_fresh_process(finite, two_point, capsys, monkeypatch):
+    # Each option is followed by a call that omits it, and each SystemExit
+    # (usage error, missing --map, --help) by a good call, so a value or
+    # state left behind by one parse would show in the next call's output.
+    monkeypatch.setenv("COLUMNS", "80")
+    fx = ["--space", finite, "--map", "T"]
+    search_ = ["search", "--assertion", "dominated-common-fix", "--size-bound", "2"]
+    calls = [
+        ["fix", *fx, "--map2", "S", "--format", "json"],
+        ["fix", *fx],
+        ["fix", *fx, "--start", "2", "--max-steps", "1"],
+        ["fix", *fx],
+        ["classify", *fx, "--map2", "S"],
+        ["classify", *fx],
+        ["fpp", "--space", two_point, "--all-maps", "--expect-pass"],
+        ["fpp", "--space", two_point],
+        [*search_, "--params", "1/3", "--expect-pass"],
+        search_,
+        ["check-map", *fx, "--bogus"],
+        ["check-map", *fx],
+        ["check-map", "--space", finite],
+        ["hausdorff", "--space", finite, "--first", "[[0]]", "--second", "[[2]]"],
+        ["--help"],
+        ["check-map", "--space", finite, "--map", "S", "--format", "json"],
+        ["fix", "--help"],
+        ["fix", "--space", two_point, "--map", "swap", "--start", "0"],
+    ]
+    for argv in calls:
+        assert in_process(argv, capsys) == fresh_process(argv), argv
+
+
+def test_later_calls_build_no_parser(finite, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    main(["check-map", "--space", finite, "--map", "T"])
+    built.clear()
+    main(["fix", "--space", finite, "--map", "T"])
+    main(["classify", "--space", finite, "--map", "T", "--format", "json"])
+    with pytest.raises(SystemExit):
+        main(["check-map", "--space", finite])
+    capsys.readouterr()
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Library users and the benchmark import digitop.cli without calling it.
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import digitop, digitop.cli\n"
+        "on_import = len(built)\n"
+        "digitop.cli.build_parser()\n"
+        "print(on_import, len(built) > 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0 True\n"), proc.stderr

@@ -6,6 +6,8 @@ x ~ y iff x != y, every coordinate differs by at most 1, and between
 """
 
 import itertools
+import re
+import typing
 
 import pytest
 from hypothesis import given
@@ -48,6 +50,67 @@ def test_as_point_accepts_ints_and_iterables():
 def test_as_point_rejects_non_lattice(bad):
     with pytest.raises(TypeError):
         as_point(bad)
+
+
+def _as_point_before_list_fast_path(value):
+    """as_point as it was before its list fast path, kept verbatim as the oracle."""
+    if isinstance(value, tuple) and all(
+        isinstance(c, int) and not isinstance(c, bool) for c in value
+    ):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (value,)
+    if isinstance(value, typing.Iterable) and not isinstance(value, (str, bytes)):
+        coords = tuple(value)
+        if all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
+            return coords
+    raise TypeError(f"not a lattice point: {value!r}")
+
+
+def _outcome(normalize, make):
+    try:
+        return "point", normalize(make())
+    except TypeError as err:
+        # Two generators differ only in the address their reprs show.
+        return "TypeError", re.sub(r" at 0x[0-9a-f]+", " at ADDRESS", str(err))
+
+
+AS_POINT_INPUTS = {
+    "int": lambda: 3,
+    "negative int": lambda: -7,
+    "bool": lambda: True,
+    "float": lambda: 1.0,
+    "None": lambda: None,
+    "tuple": lambda: (1, 2),
+    "empty tuple": lambda: (),
+    "tuple with a bool": lambda: (1, False),
+    "tuple with a float": lambda: (1, 2.0),
+    "nested tuple": lambda: ((1,), 2),
+    "list": lambda: [1, 2],
+    "empty list": lambda: [],
+    "one-element list": lambda: [5],
+    "nested list": lambda: [[1], [2]],
+    "list with a bool": lambda: [1, True],
+    "list of bools": lambda: [False],
+    "list with a float": lambda: [0, 1.5],
+    "list with a string": lambda: [1, "2"],
+    "string": lambda: "12",
+    "empty string": lambda: "",
+    "bytes": lambda: b"\x01\x02",
+    "dict": lambda: {1: 2, 3: 4},
+    "dict of strings": lambda: {"a": 1},
+    "generator": lambda: (c for c in (1, 2)),
+    "generator with a bool": lambda: (c for c in (1, True)),
+    "range": lambda: range(3),
+    "set": lambda: {4},
+    "frozenset with a float": lambda: frozenset({1.5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AS_POINT_INPUTS))
+def test_as_point_matches_its_form_before_the_list_fast_path(name):
+    make = AS_POINT_INPUTS[name]
+    assert _outcome(as_point, make) == _outcome(_as_point_before_list_fast_path, make)
 
 
 def test_fmt_point():
