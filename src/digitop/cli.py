@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import fixpoint, mapkit, metric, search
 from .contracts import (
@@ -59,9 +60,29 @@ def _point_json(p):
     return list(p)
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte.  A report's
+    str, int, bool, None, list and str-keyed dict skip the pure-Python encoder
+    that ``indent`` selects; anything else goes to ``json.dumps``, re-indented."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return repr(value)
+    if value is None or type(value) is bool:
+        return json.dumps(value)
+    inner = indent + "  "
+    if type(value) is list and value:
+        rows = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        rows = [f"{inner}{_json_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         print("\n".join(lines))
 

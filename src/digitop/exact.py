@@ -34,7 +34,7 @@ def square_free_decompose(n: int) -> tuple[int, int]:
         return 0, 1
     s, m, d = 1, 1, 2
     rest = n
-    while d * d <= rest:
+    while d * d * d <= rest:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -44,7 +44,13 @@ def square_free_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= d
         d += 1 if d == 2 else 2
-    m *= rest
+    # Every prime factor of rest is at least d > rest ** (1/3), so rest is
+    # 1, a prime, a product of two distinct primes, or a prime squared.
+    root = math.isqrt(rest)
+    if root * root == rest:
+        s *= root
+    else:
+        m *= rest
     return s, m
 
 

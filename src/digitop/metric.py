@@ -10,6 +10,7 @@ with a documented comparison tolerance.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -64,6 +65,10 @@ class DiscretenessCertificate:
     epsilon: ExactValue
 
 
+def _gaps(x: Point, y: Point) -> tuple[int, ...]:
+    return tuple(map(abs, map(operator.sub, x, y)))
+
+
 class DigitalMetricSpace:
     """A digital image together with a metric.
 
@@ -71,10 +76,13 @@ class DigitalMetricSpace:
     :attr:`levels` and :attr:`rank` to be asked computes every distance
     once into one matrix indexed by canonical point position; all three
     read from it.  Under the shortest-path metric its rows are the
-    image's breadth-first hop counts, which :meth:`distance` reads too;
-    otherwise each entry comes from :meth:`distance`.
+    image's breadth-first hop counts, which :meth:`distance` reads too.
+    Under l_p the matrix and :meth:`distance` (so :func:`hausdorff` too)
+    read one memo of norms by gap vector, the tuple of |x_i - y_i| in
+    coordinate order, so the space evaluates each gap vector once.
     ``verdicts`` keeps the checkers' decisions by level.  Two threads
-    racing to build the matrix store equal values, so it needs no lock.
+    racing to build the matrix or the memo store equal values, so
+    neither needs a lock.
     """
 
     def __init__(self, image: DigitalImage, metric: MetricSpec = L1):
@@ -84,6 +92,7 @@ class DigitalMetricSpace:
             raise ValueError("the shortest-path metric needs a connected image")
         self._image = image
         self._metric = metric
+        self._norms: dict = {}
         self.verdicts: dict = {}
 
     @property
@@ -120,25 +129,32 @@ class DigitalMetricSpace:
                 raise ValueError(f"point {fmt_point(p)} not in space")
         if isinstance(self._metric, ShortestPath):
             return self._matrix[self._image.index[x]][self._image.index[y]]
-        p = self._metric.p
-        if p == 1:
-            return sum(abs(a - b) for a, b in zip(x, y))
-        if p == 2:
-            return sqrt_exact(sum((a - b) ** 2 for a, b in zip(x, y)))
-        with mpmath.workdps(_MP_DPS):
-            exponent = mpmath.mpf(p.numerator) / p.denominator
-            total = mpmath.fsum(
-                mpmath.power(abs(a - b), exponent) for a, b in zip(x, y)
-            )
-            return mpmath.power(total, 1 / exponent)
+        return self._norm(_gaps(x, y))
+
+    def _norm(self, gaps: tuple[int, ...]):
+        """The l_p norm of a gap vector, evaluated once per space."""
+        value = self._norms.get(gaps)
+        if value is None:
+            p = self._metric.p
+            if p == 1:
+                value = sum(gaps)
+            elif p == 2:
+                value = sqrt_exact(sum(g**2 for g in gaps))
+            else:
+                with mpmath.workdps(_MP_DPS):
+                    exponent = mpmath.mpf(p.numerator) / p.denominator
+                    total = mpmath.fsum(mpmath.power(g, exponent) for g in gaps)
+                    value = mpmath.power(total, 1 / exponent)
+            self._norms[gaps] = value
+        return value
 
     @cached_property
     def _matrix(self) -> tuple[tuple, ...]:
         if isinstance(self._metric, ShortestPath):
             rows = map(self._image.hops, range(len(self)))
             return tuple(tuple(map(row.__getitem__, range(len(self)))) for row in rows)
-        pts = self._image.points
-        return tuple(tuple(self.distance(x, y) for y in pts) for x in pts)
+        pts, norm = self._image.points, self._norm
+        return tuple(tuple(norm(_gaps(x, y)) for y in pts) for x in pts)
 
     def index_distance(self, i: int, j: int):
         """Distance between the points at canonical positions i and j.

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import digitop
-from digitop import mapkit
+from digitop import cli, mapkit
 from digitop.cli import main
 
 
@@ -29,6 +29,54 @@ def write(tmp_path, name, obj):
     target = tmp_path / name
     target.write_text(json.dumps(obj))
     return str(target)
+
+
+@pytest.fixture(autouse=True)
+def json_reports_match_the_standard_library(monkeypatch):
+    """Every --format json report of these tests renders as json.dumps does."""
+    render = cli._json
+
+    def checked(value, indent=""):
+        text = render(value, indent)
+        if not indent:
+            assert text == json.dumps(value, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "_json", checked)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        [[], {}, [[]], [{}]],
+        {"a": {}, "b": [], "c": {"d": [{}, []]}},
+        "plain",
+        "non-ASCII: é ∞ 𝔽",
+        "control: \x00\x01\x1f\t\n\r \" \\ /",
+        10**40,
+        -(10**40),
+        -7,
+        0,
+        True,
+        False,
+        None,
+        -0.0,
+        1e16,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        (1, (2, 3), []),
+        {1: "a", 2: ["b"]},
+        {"outer": {3: [1.5, (True, None)], 4: {}}, "z": [0.1, {"y": (), "x": 2}]},
+        ["mixed", 1, 2.5, None, [False, {"é": "∞", "a": -0.0}]],
+        {"B": 1, "a": 2, "é": 3, "": 4},
+    ],
+    ids=repr,
+)
+def test_json_rendering_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.fixture
@@ -605,6 +653,26 @@ def test_verify_paper_passes_and_is_byte_identical(capsys):
     code, js2, _ = run(["verify-paper", "--format", "json"], capsys)
     assert js1 == js2
     assert json.loads(js1)["passed"] is True
+
+
+def test_classify_an_l2_space_with_a_large_prime_distance(tmp_path, capsys):
+    """The squared distance 1000000010**2 + 1 is prime, so simplifying its
+    root finds no square factor below its cube root."""
+    far = [1000000010, 1]
+    doc = write(
+        tmp_path,
+        "far.json",
+        {
+            "dimension": 2,
+            "points": [[0, 0], far],
+            "adjacency": {"type": "cu", "u": 1},
+            "metric": {"type": "lp", "p": "2"},
+            "maps": [{"name": "T", "pairs": [[[0, 0], [0, 0]], [far, [0, 0]]]}],
+        },
+    )
+    code, out, _ = run(["classify", "--space", doc, "--map", "T"], capsys)
+    assert code == 0
+    assert "contraction: minimal_constant=0 holds_below_one=True" in out
 
 
 # -- error paths -----------------------------------------------------

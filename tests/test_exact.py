@@ -42,6 +42,11 @@ SQRT3 = sqrt_exact(3)
         (45, 3, 5),
         (49, 7, 1),
         (360, 6, 10),  # 360 = 36 * 10
+        # Prime factors beyond the cube root; trial division to the square
+        # root would run to 1e9 on each of these.
+        ((10**9 + 7) * (10**9 + 9), 1, (10**9 + 7) * (10**9 + 9)),
+        (6 * (10**9 + 7) ** 2, 10**9 + 7, 6),
+        (1000000010**2 + 1, 1, 1000000010**2 + 1),  # a prime
     ],
 )
 def test_square_free_decompose_table(n, s, m):
@@ -62,6 +67,36 @@ def test_square_free_decompose_reconstructs(n):
 def test_square_free_rejects_negative():
     with pytest.raises(ValueError):
         square_free_decompose(-1)
+
+
+def _trial_division_to_the_root(n):
+    """The decomposition by trial division up to sqrt(n), kept as an oracle."""
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    if n == 0:
+        return 0, 1
+    s, m, d = 1, 1, 2
+    rest = n
+    while d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                m *= d
+        d += 1 if d == 2 else 2
+    m *= rest
+    return s, m
+
+
+def test_square_free_decompose_matches_full_trial_division():
+    # 999983 is the largest prime below 10**6, so the oracle reaches it quickly.
+    for n in [*range(20_000), 3 * 999983**2]:
+        assert square_free_decompose(n) == _trial_division_to_the_root(n), n
+
+
 
 
 # -- construction and canonical form ---------------------------------
