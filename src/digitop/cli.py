@@ -398,6 +398,7 @@ def _cmd_search(args, parser) -> int:
     }
     lines = [f"{outcome.assertion}: {outcome.status}"]
     if outcome.status == search.COUNTEREXAMPLE:
+        replayed = outcome.verify()
         names = [f"M{i + 1}" for i in range(len(outcome.maps))]
         witness_doc = ParsedDocument(
             outcome.space.image.dimension,
@@ -410,14 +411,14 @@ def _cmd_search(args, parser) -> int:
         payload["witness"] = {
             "document": serialize_document(witness_doc),
             "param": None if outcome.param is None else str(outcome.param),
-            "replayed": outcome.verify(),
+            "replayed": replayed,
         }
         lines.append(f"space: {outcome.space.describe()}")
         for label, m in zip(names, outcome.maps):
             lines.append(f"{label}: {m}")
         if outcome.param is not None:
             lines.append(f"parameter: {outcome.param}")
-        lines.append(f"replayed: {outcome.verify()}")
+        lines.append(f"replayed: {replayed}")
     for key in sorted(outcome.stats):
         lines.append(f"{key}: {outcome.stats[key]}")
     _emit(args, payload, lines)

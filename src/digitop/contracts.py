@@ -99,13 +99,6 @@ class _Arith:
     def below_one(self, a) -> bool:
         return compare(a, 1, self.tol) < 0
 
-    def greater(self, a, b) -> bool:
-        """The order that picks maxima: exact in the exact regimes, plain
-        ``>`` on mpf values in the general l_p regime (no tolerance)."""
-        if self.tol is None:
-            return compare(a, b) > 0
-        return a > b
-
     def scale(self, coeff: Fraction, value):
         if self.tol is None:
             return coeff * value
@@ -186,7 +179,7 @@ def _constant(space: DigitalMetricSpace, terms: Callable) -> tuple:
         lhs, base = _lhs(levels, lhs_key), levels[base_level]
         if ar.positive(base):
             ratio = exact_div(lhs, base)
-            if best is None or ar.greater(ratio, best):
+            if best is None or ratio > best:
                 best, worst = ratio, pair
         elif ar.positive(lhs):
             no_finite = True

@@ -8,14 +8,17 @@ multiplication, and scaling, and their sign is decidable exactly:
 square roots of distinct square-free integers are linearly independent
 over the rationals, so a sum is zero only when every coefficient is
 zero, and a nonzero sum can be separated from zero by interval
-refinement with integer square roots.  No floating point is involved.
+refinement with integer square roots.  No floating point is involved:
+arithmetic and ordering between a :class:`RadicalSum` and a float raise
+``TypeError``, and ``<`` on ``int``, ``Fraction`` and ``RadicalSum`` is
+one exact total order, the order :func:`compare` decides.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -73,6 +76,19 @@ def _unwrap(terms: dict[int, Fraction]) -> ExactValue:
     return RadicalSum(tuple(sorted(clean.items())))
 
 
+def _inverse(value: ExactValue) -> ExactValue:
+    """1 / value for a nonzero rational or a single-term radical sum."""
+    if isinstance(value, RadicalSum):
+        if len(value.terms) != 1:
+            raise ArithmeticError("division by a multi-term radical sum is not supported")
+        ((m, c),) = value.terms
+        return RadicalSum(((m, 1 / (c * m)),))  # 1 / (c*sqrt(m)) = sqrt(m) / (c*m)
+    if value == 0:
+        raise ZeroDivisionError("division by zero")
+    return 1 / _as_fraction(value)
+
+
+@total_ordering
 class RadicalSum:
     """An irrational value ``sum c_i * sqrt(m_i)`` with exact comparisons.
 
@@ -118,8 +134,6 @@ class RadicalSum:
             merged = self._term_map()
             merged[1] = merged.get(1, Fraction(0)) + _as_fraction(other)
             return _unwrap(merged)
-        if isinstance(other, float):
-            return float(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -129,16 +143,12 @@ class RadicalSum:
 
     def __sub__(self, other):
         if isinstance(other, (RadicalSum, int, Fraction)):
-            return self + (-other if isinstance(other, RadicalSum) else -_as_fraction(other))
-        if isinstance(other, float):
-            return float(self) - other
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        if isinstance(other, float):
-            return other - float(self)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
@@ -154,36 +164,18 @@ class RadicalSum:
                     s, m = square_free_decompose(m1 * m2)
                     out[m] = out.get(m, Fraction(0)) + c1 * c2 * s
             return _unwrap(out)
-        if isinstance(other, float):
-            return float(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / q)
-        if isinstance(other, RadicalSum):
-            if len(other.terms) != 1:
-                raise ArithmeticError(
-                    "division by a multi-term radical sum is not supported"
-                )
-            m, c = other.terms[0]
-            # 1 / (c*sqrt(m)) = sqrt(m) / (c*m)
-            return self * RadicalSum(((m, Fraction(1, 1) / (c * m)),))
+        if isinstance(other, (RadicalSum, int, Fraction)):
+            return self * _inverse(other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if len(self.terms) != 1:
-                raise ArithmeticError(
-                    "division by a multi-term radical sum is not supported"
-                )
-            m, c = self.terms[0]
-            return _as_fraction(other) * RadicalSum(((m, Fraction(1, 1) / (c * m)),))
+            return other * _inverse(self)
         return NotImplemented
 
     # -- sign and comparisons ----------------------------------------
@@ -240,29 +232,6 @@ class RadicalSum:
     def __lt__(self, other):
         if isinstance(other, (RadicalSum, int, Fraction)):
             return self._cmp(other) < 0
-        if isinstance(other, float):
-            return float(self) < other
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (RadicalSum, int, Fraction)):
-            return self._cmp(other) <= 0
-        if isinstance(other, float):
-            return float(self) <= other
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (RadicalSum, int, Fraction)):
-            return self._cmp(other) > 0
-        if isinstance(other, float):
-            return float(self) > other
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (RadicalSum, int, Fraction)):
-            return self._cmp(other) >= 0
-        if isinstance(other, float):
-            return float(self) >= other
         return NotImplemented
 
     # -- conversions -------------------------------------------------
@@ -279,15 +248,9 @@ class RadicalSum:
             if m == 1:
                 parts.append(str(c))
                 continue
-            if c == 1:
-                coeff = ""
-            elif c == -1:
-                coeff = "-"
-            elif c.denominator == 1:
-                coeff = str(c.numerator)
-            else:
-                coeff = f"({c})"
-            parts.append(f"{coeff}sqrt({m})")
+            sign, c = ("-", -c) if c < 0 else ("", c)
+            coeff = "" if c == 1 else str(c) if c.denominator == 1 else f"({c})"
+            parts.append(f"{sign}{coeff}sqrt({m})")
         out = parts[0]
         for part in parts[1:]:
             out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"

@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Iterable, Union
 
 import mpmath
@@ -166,11 +166,9 @@ class DigitalMetricSpace:
 
     @cached_property
     def levels(self) -> tuple:
-        """The distinct distances, ascending: by :func:`compare` when exact,
-        else by plain ``<`` on mpf values (the order that picks maxima)."""
-        values = dict.fromkeys(itertools.chain.from_iterable(self._matrix))
-        exact = self.comparison_tolerance is None
-        return tuple(sorted(values, key=cmp_to_key(compare) if exact else None))
+        """The distinct distances, ascending by ``<``: exact on exact values
+        (the order :func:`compare` decides), plain on mpf values."""
+        return tuple(sorted(dict.fromkeys(itertools.chain.from_iterable(self._matrix))))
 
     @cached_property
     def rank(self) -> tuple[tuple[int, ...], ...]:

@@ -152,6 +152,7 @@ class DigitalImage:
         return dist
 
     def neighbors(self, p: Point) -> tuple[Point, ...]:
+        p = as_point(p)
         if p not in self.index:
             raise ValueError(f"point {fmt_point(p)} not in image")
         return tuple(map(self.points.__getitem__, self.neighbor_indices[self.index[p]]))

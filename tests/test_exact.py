@@ -5,6 +5,7 @@ and friends) plus randomized cross-checks against floats at gaps where
 doubles are trustworthy.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -167,10 +168,31 @@ def test_division_by_multiterm_sum_is_refused():
         SQRT2 / 0
 
 
-def test_mixed_float_arithmetic_degrades_explicitly():
-    # floats stay floats; the exact layer never silently absorbs them
-    assert isinstance(SQRT2 + 0.5, float)
-    assert not is_exact(SQRT2 + 0.5)
+@pytest.mark.parametrize(
+    "op",
+    [
+        operator.add,
+        operator.sub,
+        operator.mul,
+        operator.truediv,
+        operator.lt,
+        operator.le,
+        operator.gt,
+        operator.ge,
+    ],
+)
+def test_float_operands_are_refused(op):
+    # the exact layer never absorbs a float, in either operand order
+    with pytest.raises(TypeError):
+        op(SQRT2, 0.5)
+    with pytest.raises(TypeError):
+        op(0.5, SQRT2)
+
+
+def test_float_equality_answers_false():
+    assert not SQRT2 == float(SQRT2)
+    assert not float(SQRT2) == SQRT2
+    assert SQRT2 != float(SQRT2)
 
 
 # -- sign and ordering -----------------------------------------------
@@ -261,6 +283,26 @@ def test_value_str():
     assert value_str(SQRT3 - SQRT2) == "-sqrt(2) + sqrt(3)"
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (SQRT2 / 2, "(1/2)sqrt(2)"),
+        (-SQRT2 / 2, "-(1/2)sqrt(2)"),
+        (1 - SQRT2 / 2, "1 - (1/2)sqrt(2)"),
+        (1 + SQRT2 / 2, "1 + (1/2)sqrt(2)"),
+        (Fraction(1, 3) - 3 * SQRT2 / 4, "1/3 - (3/4)sqrt(2)"),
+        (-Fraction(1, 3) - SQRT2, "-1/3 - sqrt(2)"),
+        (1 - SQRT2, "1 - sqrt(2)"),
+        (-SQRT2, "-sqrt(2)"),
+        (-3 * SQRT2 + SQRT3 / 5, "-3sqrt(2) + (1/5)sqrt(3)"),
+        (SQRT2 - 2 * SQRT3 - SQRT3 * SQRT2 / 7, "sqrt(2) - 2sqrt(3) - (1/7)sqrt(6)"),
+    ],
+)
+def test_radical_sum_renderings(value, text):
+    assert str(value) == value_str(value) == text
+    assert repr(value) == f"RadicalSum({text})"
+
+
 # -- randomized structural properties --------------------------------
 
 rationals = st.fractions(
@@ -305,6 +347,14 @@ def test_ordering_agrees_with_floats_at_safe_gaps(a, b):
     if abs(fa - fb) < 1e-6:
         return  # doubles not trustworthy near ties; exact layer is the oracle
     assert (compare(a, b) < 0) == (fa < fb)
+
+
+@given(exact_values(), st.one_of(exact_values(), rationals, st.integers(-5, 5)))
+def test_operators_agree_with_compare(a, b):
+    # one order: <, <=, > and >= are compare's verdict in both operand orders
+    for x, y in ((a, b), (b, a)):
+        c = compare(x, y)
+        assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
 
 
 @given(exact_values())

@@ -7,6 +7,7 @@ a float cross-check where the regime is inexact anyway).
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from digitop.metric import (
     discreteness_certificate,
     hausdorff,
 )
+from digitop.search import small_connected_images
 from digitop.space import C1, C2, DigitalImage, digital_interval
 
 
@@ -180,6 +182,18 @@ def test_certificate_is_a_true_lower_bound(xs):
     assert eps >= 1  # integer points on the line are at least 1 apart
     for x, y in itertools.combinations(sp.points, 2):
         assert sp.distance(x, y) >= eps
+
+
+# -- level order -----------------------------------------------------
+
+
+@pytest.mark.parametrize("metric", [L1, L2, SHORTEST_PATH], ids=str)
+def test_levels_follow_compare(metric):
+    # plain sorted() on exact values is the order exact.compare decides
+    for image in small_connected_images(5):
+        space = DigitalMetricSpace(image, metric)
+        values = {space.distance(x, y) for x in space.points for y in space.points}
+        assert space.levels == tuple(sorted(values, key=cmp_to_key(compare)))
 
 
 # -- hausdorff distance ----------------------------------------------

@@ -215,6 +215,16 @@ def test_neighbors_rejects_outside_point():
         digital_interval(0, 2).neighbors((9,))
 
 
+def test_neighbors_normalises_its_argument():
+    # an int is 1-D shorthand and a list a JSON point, as in distance and orbit
+    line = digital_interval(0, 3)
+    assert line.neighbors(1) == line.neighbors([1]) == line.neighbors((1,)) == ((0,), (2,))
+    with pytest.raises(ValueError, match=r"point 7 not in image"):
+        line.neighbors(7)
+    with pytest.raises(ValueError, match=r"not in image"):
+        line.neighbors([7])
+
+
 def test_neighbor_table_offset_and_scan_paths_agree():
     # small images use the all-pairs scan, large ones the offset walk;
     # both must produce the same graph
