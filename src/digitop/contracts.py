@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-import mpmath
-
 from .exact import compare, exact_div
 from .mapkit import SelfMap
 from .metric import DigitalMetricSpace
@@ -102,6 +100,8 @@ class _Arith:
     def scale(self, coeff: Fraction, value):
         if self.tol is None:
             return coeff * value
+        import mpmath  # only general l_p needs it; loading it costs start-up
+
         return mpmath.mpf(coeff.numerator) * value / coeff.denominator
 
 

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-import mpmath
-
 from .exact import ExactValue, compare, sqrt_exact
 from .space import DigitalImage, Point, as_point, fmt_point, is_connected
 
@@ -141,6 +139,8 @@ class DigitalMetricSpace:
             elif p == 2:
                 value = sqrt_exact(sum(g**2 for g in gaps))
             else:
+                import mpmath  # only general l_p needs it; loading it costs start-up
+
                 with mpmath.workdps(_MP_DPS):
                     exponent = mpmath.mpf(p.numerator) / p.denominator
                     total = mpmath.fsum(mpmath.power(g, exponent) for g in gaps)

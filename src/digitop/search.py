@@ -2,7 +2,7 @@
 re-derives every headline verdict of this laboratory at desk scale.
 
 Each searchable assertion binds a hypothesis predicate (from contracts)
-to a conclusion predicate (from mapkit/fixpoint).  A search scans a
+to a conclusion predicate on the maps' value positions.  A search scans a
 fixed, deterministic universe — digital intervals and small rectangular
 grids, under the taxicab, Euclidean, and word metrics — and either
 returns the first hypothesis-true/conclusion-false witness or an
@@ -26,7 +26,6 @@ from .mapkit import (
     _check_budget,
     enumerate_selfmaps,
     enumerate_tables,
-    fixed_points,
     validate_selfmap,
 )
 from .metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, MetricSpec
@@ -50,33 +49,33 @@ def _strictly_increasing_1d(f: SelfMap) -> bool:
     return all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _common_fixed_points(f: SelfMap, g: SelfMap) -> tuple:
-    return tuple(p for p, u, v in zip(f.domain.points, f.values, g.values) if p == u == v)
+def _common_fixed(n: int, t) -> list[int]:
+    """The positions that every map of the table t fixes.  t[k - n] is the
+    last map's entry k: the second map's, or with one map its own."""
+    return [k for k in range(n) if t[k] == k == t[k - n]]
 
 
-def _unique_common_fix(space, maps) -> bool:
-    return len(_common_fixed_points(*maps)) == 1
+def _unique_common_fix(n: int, t) -> bool:
+    return len(_common_fixed(n, t)) == 1
 
 
-def _some_common_fix(space, maps) -> bool:
-    return len(_common_fixed_points(*maps)) >= 1
+def _has_common_fix(n: int, t) -> bool:
+    return bool(_common_fixed(n, t))
 
 
-def _has_fix(space, maps) -> bool:
-    return bool(fixed_points(maps[0]))
+def _compatible(n: int, t) -> bool:
+    """The maps commute at every coincidence point (contracts.compatible)."""
+    return all(t[x] != t[n + x] or t[t[n + x]] == t[n + t[x]] for x in range(n))
 
 
-def _alternating_limits_are_unique_common_fix(space, maps) -> bool:
-    """Every accumulation point of every interleaved orbit is the one
-    common fixed point."""
-    t, s = maps
-    common = _common_fixed_points(t, s)
-    for x0 in space.image.points:
-        rep = fixpoint.alternating_orbit(s, t, x0)
-        for a in mapkit.accumulation_points(rep):
-            if len(common) != 1 or a != common[0]:
-                return False
-    return True
+def _alternating_limits_are_unique_common_fix(n: int, t) -> bool:
+    """Every accumulation point of every interleaved orbit x, Tx, STx, ...
+    is the one common fixed point p: each orbit reaches p, where it stays,
+    within the 2n steps that exhaust its (position, turn) states."""
+    fixed, ends = _common_fixed(n, t), range(n)
+    for _ in range(n):  # two steps: T, then S
+        ends = [t[n + t[x]] for x in ends]
+    return len(fixed) == 1 and set(ends) == set(fixed)
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,18 @@ class _Assertion:
     arity: int
     param: str | None
     hypothesis: Callable
-    conclusion: Callable
+    concludes: Callable  # (n, t) on a table of value positions, map after map
     # The checker's level key by pair.  With one, the narrowing decides the
     # whole hypothesis: every complete table enumerated is hypothesis-true.
     terms: Callable | None = None
     within: bool = False  # the second map's values lie among the first's
     increasing: bool = False  # each map's entries rise (on intervals only)
     one_dimensional_only: bool = False
+
+    def conclusion(self, space: DigitalMetricSpace, maps) -> bool:
+        """The conclusion on self-maps of the space."""
+        table = sum((contracts._positions(space, f) for f in maps), ())
+        return self.concludes(len(space), table)
 
 
 def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, within: bool):
@@ -173,15 +177,11 @@ def _hyp_rational(space, maps, _param):
     return contracts.parv_rational_check(space, t, s).holds
 
 
-def _concl_compatible(space, maps) -> bool:
-    return contracts.compatible(space, *maps).holds
-
-
 ASSERTIONS: dict[str, _Assertion] = {
     a.key: a
     for a in (
-        _Assertion("quasi-fixed-point", 1, "r", _hyp_quasi, _has_fix, _quasi_terms),
-        _Assertion("five-term-fixed-point", 1, "r", _hyp_five_term, _has_fix, _ciric5_terms),
+        _Assertion("quasi-fixed-point", 1, "r", _hyp_quasi, _has_common_fix, _quasi_terms),
+        _Assertion("five-term-fixed-point", 1, "r", _hyp_five_term, _has_common_fix, _ciric5_terms),
         _Assertion(
             "dominated-common-fix-with-range",
             2,
@@ -199,14 +199,12 @@ ASSERTIONS: dict[str, _Assertion] = {
             2,
             "rho",
             _hyp_dominated_monotone,
-            _concl_compatible,
+            _compatible,
             _domination_terms,
             increasing=True,
             one_dimensional_only=True,
         ),
-        _Assertion(
-            "sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _some_common_fix, _saluja_terms
-        ),
+        _Assertion("sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _has_common_fix, _saluja_terms),
         _Assertion(
             "rational-alternating-common-fix",
             2,
@@ -274,23 +272,23 @@ def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
 
 
-def _map_builder(img: DigitalImage) -> Callable:
-    """t -> the self-map with value positions t, built once per t while held."""
-    return functools.cache(lambda t: SelfMap(img, tuple(map(img.points.__getitem__, t))))
+def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
+    """The self-maps of img whose value positions are table, map after map."""
+    n, values = len(img), [img.points[v] for v in table]
+    return tuple(SelfMap(img, tuple(values[a : a + n])) for a in range(0, len(values), n))
 
 
-def _sweep(space, arity: int, built, terms=None, holds=None, within=False, increasing=False):
-    """The maps, made by built (a _map_builder of the space's image), of each
-    table of `arity` maps in product order: all, or with terms those whose
-    last map's pairs hold (_narrow).  With increasing, each entry is pinned to
-    its own position, since a strictly increasing self-map of a finite
-    interval is the identity.  A budget error names the space."""
+def _sweep(space, arity: int, terms=None, holds=None, within=False, increasing=False):
+    """Each table of value positions of `arity` maps in product order, one
+    list filled in place: all, or with terms those whose last map's pairs
+    hold (_narrow).  With increasing, each entry is pinned to its own
+    position, since a strictly increasing self-map of a finite interval is
+    the identity.  A budget error names the space."""
     n = len(space)
     domains = [1 << k % n if increasing else (1 << n) - 1 for k in range(arity * n)]
     narrow = _narrow(space, arity, terms, holds, within) if terms else lambda t, k: ()
     try:
-        for table in enumerate_tables(domains, narrow):
-            yield tuple(built(tuple(table[a : a + n])) for a in range(0, len(table), n))
+        yield from enumerate_tables(domains, narrow)
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(f"{space.describe()}: {err}") from None
 
@@ -331,27 +329,25 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     spaces = 0
     for img in _scan_universe(size_bound, spec.one_dimensional_only):
         n = len(img)
-        built = _map_builder(img)
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
             for value in grid:
                 holds = spec.terms and contracts._verdicts(space, contracts._bound, value)
                 pruned = (spec.terms, holds, spec.within, spec.increasing)
-                for maps in _sweep(space, spec.arity, built, *pruned):
-                    if spec.terms is None and not spec.hypothesis(space, maps, value):
+                for t in _sweep(space, spec.arity, *pruned):
+                    if spec.terms is None and not spec.hypothesis(space, _maps(img, t), value):
                         continue
                     hits += 1
-                    if not spec.conclusion(space, maps):
-                        table = (v for f in maps for v in f.indices)
-                        rank = functools.reduce(lambda r, v: r * n + v, table)
+                    if not spec.concludes(n, t):
+                        rank = functools.reduce(lambda r, v: r * n + v, t)
                         return SearchOutcome(
                             assertion,
                             COUNTEREXAMPLE,
                             size_bound,
                             tuple(v for v in grid if v is not None),
                             space=space,
-                            maps=maps,
+                            maps=_maps(img, t),
                             param=value,
                             stats={
                                 "instances_scanned": scanned + rank + 1,
@@ -435,12 +431,11 @@ def _theorem_sweep(name: str, spaces, grid, terms, rule, verify: Callable) -> Su
     pruned fails the hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
     for space in spaces:
-        built = _map_builder(space.image)
         for coeffs in grid:
             survivors = 0
-            for (f,) in _sweep(space, 1, built, terms, contracts._verdicts(space, rule, *coeffs)):
+            for t in _sweep(space, 1, terms, contracts._verdicts(space, rule, *coeffs)):
                 survivors += 1
-                counts[_TALLY[verify(space, f, *coeffs).conclusion]] += 1
+                counts[_TALLY[verify(space, *_maps(space.image, t), *coeffs).conclusion]] += 1
             counts["hypothesis_failed"] += len(space) ** len(space) - survivors
     return SuiteEntry(name, counts["refuted"] == 0, counts)
 
@@ -539,23 +534,24 @@ def _suite_rational_ill_definedness() -> SuiteEntry:
 def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
     # The narrowing checks the bound on every pair: it admits exactly the
     # pairs meeting it.
-    pairs = []
+    pairs, all_constant = 0, True
     for space in spaces:
-        holds = contracts._verdicts(space, contracts._bound, xi)
-        pairs += _sweep(space, 2, _map_builder(space.image), _saluja_terms, holds)
-    all_constant = all(j.is_constant and k.is_constant for j, k in pairs)
+        n, holds = len(space), contracts._verdicts(space, contracts._bound, xi)
+        for t in _sweep(space, 2, _saluja_terms, holds):
+            pairs += 1
+            all_constant &= len(set(t[:n])) == len(set(t[n:])) == 1
     img = digital_interval(0, 1)
     space = DigitalMetricSpace(img, L2)
     j = SelfMap.constant(img, 0)
     k = SelfMap.constant(img, 1)
     constructed = contracts.check_saluja(space, j, k, xi)
-    no_common = not _common_fixed_points(j, k)
+    no_common = not ASSERTIONS["sum-bound-common-fix"].conclusion(space, (j, k))
     ok = all_constant and constructed.condition.holds and no_common
     return SuiteEntry(
         "sum-bound-forces-constancy",
         ok,
         {
-            "pairs_satisfying_bound": len(pairs),
+            "pairs_satisfying_bound": pairs,
             "all_satisfying_pairs_constant": all_constant,
             "constant_pair_common_fixed_points": 0 if no_common else 1,
         },

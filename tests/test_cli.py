@@ -785,24 +785,59 @@ def test_finite_command_on_integer_line(integer_line, capsys):
     assert "needs a finite space document" in err
 
 
-def test_console_entry_point(finite):
-    proc = subprocess.run(
-        [sys.executable, "-m", "digitop.cli", "check-map", "--space", finite, "--map", "T"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "fixed points: 0" in proc.stdout
-
-
-# -- one parser per process ------------------------------------------
-
-
 def child_env(**extra):
     """The environment of a new interpreter that imports the digitop under test."""
     src = str(Path(digitop.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return dict(os.environ, **extra, PYTHONPATH=path)
+
+
+def test_console_entry_point(finite):
+    proc = subprocess.run(
+        [sys.executable, "-m", "digitop.cli", "check-map", "--space", finite, "--map", "T"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0
+    assert "fixed points: 0" in proc.stdout
+
+
+@pytest.mark.parametrize("p, loaded", [("1", False), ("2", False), ("3", True)])
+def test_only_general_lp_distances_load_mpmath(tmp_path, p, loaded):
+    doc = write(
+        tmp_path,
+        "space.json",
+        {
+            "dimension": 2,
+            "points": [[0, 0], [1, 0], [1, 1]],
+            "adjacency": {"type": "cu", "u": 2},
+            "metric": {"type": "lp", "p": p},
+            "maps": [
+                {"name": "T", "pairs": [[[0, 0], [1, 1]], [[1, 0], [0, 0]], [[1, 1], [1, 1]]]}
+            ],
+        },
+    )
+    # check-map evaluates no distance; classify's minimal constants do.
+    script = "\n".join(
+        [
+            "import sys",
+            "from digitop.cli import main",
+            "loaded = ['mpmath' in sys.modules]",
+            "for command in ('check-map', 'classify'):",
+            f"    assert main([command, '--space', {doc!r}, '--map', 'T']) == 0",
+            "    loaded.append('mpmath' in sys.modules)",
+            "print(loaded)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([False, False, loaded])
+
+
+# -- one parser per process ------------------------------------------
 
 
 def fresh_process(argv):

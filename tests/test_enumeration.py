@@ -98,8 +98,7 @@ def swept(monkeypatch):
     monkeypatch.setattr(search, "enumerate_tables", junk_fed)
 
     def tables(space, arity, *pruned):
-        sweep = search._sweep(space, arity, search._map_builder(space.image), *pruned)
-        return [tuple(v for f in maps for v in f.indices) for maps in sweep]
+        return [tuple(t) for t in search._sweep(space, arity, *pruned)]
 
     return tables
 

@@ -87,7 +87,7 @@ def test_each_gap_vector_is_evaluated_once(space, monkeypatch):
         return counted
 
     monkeypatch.setattr(metric, "sqrt_exact", counting("sqrt_exact", sqrt_exact))
-    monkeypatch.setattr(metric.mpmath, "power", counting("power", mpmath.power))
+    monkeypatch.setattr(mpmath, "power", counting("power", mpmath.power))
     fresh = DigitalMetricSpace(space.image, space.metric)
     pts = fresh.points
     gaps = {tuple(abs(a - b) for a, b in zip(x, y)) for x in pts for y in pts}

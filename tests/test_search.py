@@ -21,6 +21,7 @@ strictly increasing self-map of a finite interval is the identity.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,40 @@ def test_custom_param_grid_changes_the_scan():
     assert o.status == COUNTEREXAMPLE
     assert o.param == 0
     assert o.param_grid == (0,)
+
+
+@pytest.fixture
+def selfmaps_built(monkeypatch):
+    """A counter of the SelfMaps constructed while the test runs."""
+    built = Counter()
+    check = SelfMap.__post_init__
+
+    def counted(f):
+        built["maps"] += 1
+        check(f)
+
+    monkeypatch.setattr(SelfMap, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "assertion, size_bound, status, maps",
+    [
+        ("quasi-fixed-point", 5, EXHAUSTED, 0),
+        ("five-term-fixed-point", 5, EXHAUSTED, 0),
+        ("dominated-monotone-compatible", 4, EXHAUSTED, 0),
+        ("dominated-common-fix", 5, COUNTEREXAMPLE, 2),
+        ("dominated-common-fix-with-range", 5, COUNTEREXAMPLE, 2),
+        ("sum-bound-common-fix", 5, COUNTEREXAMPLE, 2),
+    ],
+)
+def test_narrowed_searches_build_self_maps_only_for_the_witness(
+    assertion, size_bound, status, maps, selfmaps_built
+):
+    # Conclusions are decided on value positions; a SelfMap is built only
+    # for the witness a counterexample carries.
+    assert find_counterexample(assertion, size_bound).status == status
+    assert selfmaps_built["maps"] == maps
 
 
 # -- the curated suite -----------------------------------------------

@@ -19,7 +19,6 @@ from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace
 from digitop.search import (
     _KANNAN_GRID,
     SuiteEntry,
-    _common_fixed_points,
     _suite_contraction,
     _suite_sum_bound_constancy,
     _suite_two_coefficient,
@@ -70,6 +69,10 @@ def two_coefficient_loop(spaces, grid) -> SuiteEntry:
     return SuiteEntry("two-coefficient-theorem-exhaustive", counts["refuted"] == 0, counts)
 
 
+def common_fixed_points(f, g) -> tuple:
+    return tuple(p for p, u, v in zip(f.domain.points, f.values, g.values) if p == u == v)
+
+
 def sum_bound_loop(spaces, xi) -> SuiteEntry:
     holding = 0
     all_constant = True
@@ -85,7 +88,7 @@ def sum_bound_loop(spaces, xi) -> SuiteEntry:
     j = SelfMap.constant(img, 0)
     k = SelfMap.constant(img, 1)
     constructed = contracts.check_saluja(space, j, k, xi)
-    no_common = not _common_fixed_points(j, k)
+    no_common = not common_fixed_points(j, k)
     ok = all_constant and constructed.condition.holds and no_common
     return SuiteEntry(
         "sum-bound-forces-constancy",
