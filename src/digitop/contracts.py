@@ -91,9 +91,6 @@ class _Arith:
     def le(self, a, b) -> bool:
         return compare(a, b, self.tol) <= 0
 
-    def positive(self, a) -> bool:
-        return compare(0, a, self.tol) < 0
-
     def below_one(self, a) -> bool:
         return compare(a, 1, self.tol) < 0
 
@@ -150,6 +147,16 @@ def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> b
     return ar.le(lhs, ar.scale(a, x + y) + ar.scale(b, u + w))
 
 
+def _rational_bound(ar: _Arith, levels: tuple, key) -> bool:
+    """The rational bound cross-multiplied, by its five levels
+    d(Tx,Sy), d(x,Sy), d(y,Tx), d(x,Tx), d(y,Sy); it holds vacuously
+    where it is undefined, its denominator's two levels being 0."""
+    if not (key[1] or key[2]):
+        return True
+    lhs, x_sy, y_tx, x_tx, y_sy = (levels[k] for k in key)
+    return ar.le(lhs * (x_sy + y_tx), x_tx * x_sy + y_sy * y_tx)
+
+
 def _witness(space: DigitalMetricSpace, terms: Callable, holds) -> tuple[Point, Point] | None:
     """The first pair of canonical positions (i, j), in lexicographic order
     with the diagonal, whose level key terms(i, j) fails holds[key]; None
@@ -161,28 +168,49 @@ def _witness(space: DigitalMetricSpace, terms: Callable, holds) -> tuple[Point, 
     return None
 
 
+def _dominates(key, other) -> bool:
+    """Whether key's ratio beats other's for certain: every lhs level at
+    least other's, over a base level no larger (ratios with positive lhs;
+    levels ascend, so a distinct key's ratio is strictly larger)."""
+    (lhs, base), (lhs_o, base_o) = key, other
+    if isinstance(lhs, int):
+        return base <= base_o and lhs >= lhs_o
+    return base <= base_o and lhs[0] >= lhs_o[0] and lhs[1] >= lhs_o[1]
+
+
 def _constant(space: DigitalMetricSpace, terms: Callable) -> tuple:
     """(constant, worst, no_finite) of keys terms(i, j) = (lhs key, base level).
 
     constant is the largest lhs / base over pairs with positive base (0
     when there are none) and worst the first pair reaching it; no_finite
     marks a pair with zero base against a positive lhs, which leaves
-    constant None.  Each distinct key is weighed once, with its first pair.
+    constant None.  Positivity is read from level indices, level 0 being
+    the only zero distance.  Only the keys no other key dominates are
+    weighed, each once with its first pair; a zero lhs ties at 0, so the
+    first key with one stands for them all.
     """
     pts = space.points
     first: dict = {}
     for i, j in itertools.product(range(len(pts)), repeat=2):
         first.setdefault(terms(i, j), (pts[i], pts[j]))
-    ar, levels = _Arith(space), space.levels
-    best, worst, no_finite = None, None, False
-    for (lhs_key, base_level), pair in first.items():
-        lhs, base = _lhs(levels, lhs_key), levels[base_level]
-        if ar.positive(base):
-            ratio = exact_div(lhs, base)
-            if best is None or ratio > best:
-                best, worst = ratio, pair
-        elif ar.positive(lhs):
+    front, zero, no_finite = [], None, False
+    for key in first:
+        if key[0] in (0, (0, 0)):
+            if zero is None and key[1]:
+                zero = key
+        elif not key[1]:
             no_finite = True
+        elif not any(_dominates(f, key) for f in front):
+            front = [f for f in front if not _dominates(key, f)]
+            front.append(key)  # front keeps the keys' first-seen order
+    if not front and zero is not None:
+        front = [zero]  # every positive base faces a zero lhs: all tie at 0
+    levels = space.levels
+    best, worst = None, None
+    for key in front:
+        ratio = exact_div(_lhs(levels, key[0]), levels[key[1]])
+        if best is None or ratio > best:
+            best, worst = ratio, first[key]
     constant = None if no_finite else (Fraction(0) if best is None else best)
     return constant, worst, no_finite
 
@@ -200,8 +228,8 @@ def _report(space: DigitalMetricSpace, witness, constant=None) -> ConditionRepor
 
 
 # Level keys by pair of positions (i, j), shared by the checkers and the
-# searches' narrowing: (lhs key, base level), or Kannan's five
-# levels with each sum's two ascending.  v is a map's table of value
+# searches: (lhs key, base level), Kannan's five levels with each sum's
+# two ascending, or the rational bound's five.  v is a map's table of value
 # positions; a two-map table is the first map's n followed by the second's.
 
 
@@ -233,6 +261,12 @@ def _domination_terms(rank, n, v, i, j):
 def _saluja_terms(rank, n, v, u, q):
     base = rank[v[n + u]][v[n + q]]
     return (rank[v[u]][v[q]], base), base
+
+
+def _rational_terms(rank, n, v, x, y):
+    tx, sy = v[x], v[n + y]
+    rx, ry = rank[x], rank[y]
+    return rank[tx][sy], rx[sy], ry[tx], rx[tx], ry[sy]
 
 
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
@@ -310,6 +344,13 @@ def check_saluja(
     return ConstancyReport(report, j.is_constant, k.is_constant)
 
 
+def _rational_holds(space: DigitalMetricSpace, table) -> bool:
+    """Whether the rational bound holds on every defined pair of a two-map
+    table of value positions."""
+    terms = partial(_rational_terms, space.rank, len(space), table)
+    return _witness(space, terms, _verdicts(space, _rational_bound)) is None
+
+
 def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> ConditionReport:
     """The rational two-map bound
     d(Tx, Sy) <= [d(x,Tx)d(x,Sy) + d(y,Sy)d(y,Tx)] / [d(x,Sy) + d(y,Tx)].
@@ -318,28 +359,19 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     particular every common fixed point p makes (p, p) undefined, which
     is the structural flaw this check exposes.  The verdict quantifies
     over the defined pairs only, by cross-multiplication (the
-    denominator is positive there), so no division is ever performed.
+    denominator is positive there), so no division is ever performed;
+    it is decided once per five-level key in the space's memo.
     """
-    ar = _Arith(space)
-    d, tv, sv = space.index_distance, _positions(space, t), _positions(space, s)
-    pts = space.points
-    witness = None
-    undefined = []
-    for x, y in itertools.product(range(len(pts)), repeat=2):
-        dx_sy = d(x, sv[y])
-        dy_tx = d(y, tv[x])
-        denom = dx_sy + dy_tx
-        if not ar.positive(denom):
-            undefined.append((pts[x], pts[y]))
-            continue
-        numer = d(x, tv[x]) * dx_sy + d(y, sv[y]) * dy_tx
-        if witness is None and not ar.le(d(tv[x], sv[y]) * denom, numer):
-            witness = (pts[x], pts[y])
+    n, pts = len(space), space.points
+    table = _positions(space, t) + _positions(space, s)
+    terms = partial(_rational_terms, space.rank, n, table)
+    pairs = itertools.product(range(n), repeat=2)
+    witness = _witness(space, terms, _verdicts(space, _rational_bound))
     return ConditionReport(
         holds=witness is None,
         witness=witness,
-        undefined_pairs=tuple(undefined),
-        exact=ar.exact,
+        undefined_pairs=tuple((pts[x], pts[y]) for x, y in pairs if not any(terms(x, y)[1:3])),
+        exact=space.comparison_tolerance is None,
     )
 
 

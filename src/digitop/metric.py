@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .exact import ExactValue, compare, sqrt_exact
+from .exact import ExactValue, RadicalSum, compare, sqrt_exact
 from .space import DigitalImage, Point, as_point, fmt_point, is_connected
 
 #: Comparison tolerance for the inexact general-l_p regime.
@@ -65,6 +65,15 @@ class DiscretenessCertificate:
 
 def _gaps(x: Point, y: Point) -> tuple[int, ...]:
     return tuple(map(abs, map(operator.sub, x, y)))
+
+
+def _square(value):
+    """The exact square of an l_2 distance: v*v for an int v, c*c*m for
+    c*sqrt(m), read from its one term."""
+    if isinstance(value, RadicalSum):
+        ((m, c),) = value.terms
+        return c * c * m
+    return value * value
 
 
 class DigitalMetricSpace:
@@ -125,6 +134,11 @@ class DigitalMetricSpace:
         for p in (x, y):
             if p not in self._image:
                 raise ValueError(f"point {fmt_point(p)} not in space")
+        return self._distance(x, y)
+
+    def _distance(self, x: Point, y: Point):
+        """distance between two points already known to lie in the space.
+        Under l_p it evaluates only their gap vector, not the whole matrix."""
         if isinstance(self._metric, ShortestPath):
             return self._matrix[self._image.index[x]][self._image.index[y]]
         return self._norm(_gaps(x, y))
@@ -166,9 +180,11 @@ class DigitalMetricSpace:
 
     @cached_property
     def levels(self) -> tuple:
-        """The distinct distances, ascending by ``<``: exact on exact values
-        (the order :func:`compare` decides), plain on mpf values."""
-        return tuple(sorted(dict.fromkeys(itertools.chain.from_iterable(self._matrix))))
+        """The distinct distances, ascending: the order :func:`compare`
+        decides on exact values, plain on mpf values.  l_2 levels sort by
+        their squares, in integers, with no radical sign to decide."""
+        values = dict.fromkeys(itertools.chain.from_iterable(self._matrix))
+        return tuple(sorted(values, key=_square if self._metric == L2 else None))
 
     @cached_property
     def rank(self) -> tuple[tuple[int, ...], ...]:
@@ -198,6 +214,8 @@ def hausdorff(space: DigitalMetricSpace, first: Iterable, second: Iterable):
 
     The maximum of the two directed distances, where the directed
     distance from A to B is max over a in A of min over b in B of d(a,b).
+    Both subsets are validated once; each pair is then read from the
+    space's norm memo (or hop matrix) with no further check.
     """
     a_pts = sorted({as_point(p) for p in first})
     b_pts = sorted({as_point(p) for p in second})
@@ -206,16 +224,16 @@ def hausdorff(space: DigitalMetricSpace, first: Iterable, second: Iterable):
     for p in itertools.chain(a_pts, b_pts):
         if p not in space:
             raise ValueError(f"point {fmt_point(p)} not in space")
-    tol = space.comparison_tolerance
+    d, tol = space._distance, space.comparison_tolerance
 
     def directed(src, dst):
         worst = None
         for a in src:
             closest = None
             for b in dst:
-                d = space.distance(a, b)
-                if closest is None or compare(d, closest, tol) < 0:
-                    closest = d
+                value = d(a, b)
+                if closest is None or compare(value, closest, tol) < 0:
+                    closest = value
             if worst is None or compare(closest, worst, tol) > 0:
                 worst = closest
         return worst

@@ -90,6 +90,8 @@ class _Assertion:
     # The checker's level key by pair.  With one, the narrowing decides the
     # whole hypothesis: every complete table enumerated is hypothesis-true.
     terms: Callable | None = None
+    # Without one, the hypothesis (space, t) on each table of value positions.
+    holds_on: Callable | None = None
     within: bool = False  # the second map's values lie among the first's
     increasing: bool = False  # each map's entries rise (on intervals only)
     one_dimensional_only: bool = False
@@ -211,6 +213,8 @@ ASSERTIONS: dict[str, _Assertion] = {
             None,
             _hyp_rational,
             _alternating_limits_are_unique_common_fix,
+            # Looked up per call, so the rule can be wrapped or counted.
+            holds_on=lambda space, t: contracts._rational_holds(space, t),
         ),
     )
 }
@@ -301,7 +305,8 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     narrowed by the hypothesis's pairs with the entries before it;
     instances_scanned counts the tables skipped too.  Every table
     enumerated is hypothesis-true: only the rational form, which narrows
-    nothing, runs its hypothesis per table.
+    nothing, decides its hypothesis per table, on the table itself.  Only
+    a witness becomes SelfMaps.
 
     Deterministic: the first witness in scan order is returned.  Raises
     EnumerationBudgetError, naming the space, if one enumeration would
@@ -336,7 +341,7 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
                 holds = spec.terms and contracts._verdicts(space, contracts._bound, value)
                 pruned = (spec.terms, holds, spec.within, spec.increasing)
                 for t in _sweep(space, spec.arity, *pruned):
-                    if spec.terms is None and not spec.hypothesis(space, _maps(img, t), value):
+                    if spec.holds_on and not spec.holds_on(space, t):
                         continue
                     hits += 1
                     if not spec.concludes(n, t):

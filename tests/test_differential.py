@@ -10,9 +10,15 @@ kept as a Fraction.
 
 Inputs: every pair of the 27 self-maps of [0,2]_Z for the two-map
 conditions, every one of the 256 self-maps of the 2x2 c_1 grid for the
-single-map conditions, under l_1, l_2, shortest path and l_3.
+single-map conditions, under l_1, l_2, shortest path and l_3.  Those
+spaces have at most 4 levels, so a minimal constant weighs almost every
+key there; the 3x3 grid under c_1 and c_2 and the 9-point interval,
+under the same four metrics, have up to 12 and take seeded random maps
+and pairs, with constant maps (every lhs 0, so the keys tie at 0) and
+pairs with a constant dominating or bounding map (no finite constant).
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,10 +38,10 @@ from digitop.contracts import (
 )
 from digitop import exact
 from digitop.fixpoint import banach_verify
-from digitop.mapkit import enumerate_selfmaps
+from digitop.mapkit import SelfMap, enumerate_selfmaps
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
 from digitop.search import enumerate_map_pairs
-from digitop.space import C1, DigitalImage, digital_interval
+from digitop.space import C1, C2, DigitalImage, digital_interval
 
 METRICS = (L1, L2, SHORTEST_PATH, Lp(3))
 HALF = Fraction(1, 2)
@@ -137,87 +143,132 @@ def spaces(img):
     return [DigitalMetricSpace(img, metric) for metric in METRICS]
 
 
+def assert_single_map_checkers(space, d, f):
+    tol = space.comparison_tolerance
+    rows = banach_rows(space, d, f)
+    ref = reference(space, rows, HALF)
+    assert_matches(check_banach(space, f, HALF), ref)
+    assert same_value(lipschitz_min(space, f), ref[1])
+
+    hypothesis = banach_verify(space, f).hypothesis
+    holds = compare(ref[1], 1, tol) < 0
+    assert hypothesis.holds == holds
+    assert hypothesis.witness == (None if holds else ref[3])
+    assert same_value(hypothesis.minimal_constant, ref[1])
+
+    for checker, five in ((check_quasi, False), (check_ciric5, True)):
+        rows_t = max_term_rows(space, d, f, five)
+        assert_matches(checker(space, f, HALF), reference(space, rows_t, HALF))
+        for r in COEFFICIENTS:
+            fast = checker(space, f, r, minimal=False)
+            assert fast.witness == violation(space, rows_t, r)
+            assert fast.minimal_constant is None
+
+    for a, b in KANNAN:
+        expected = None
+        for x, y in ordered_pairs(space):
+            tx, ty = f(x), f(y)
+            rhs = (d(x, tx) + d(y, ty)) * a + (d(x, ty) + d(tx, y)) * b
+            if compare(d(tx, ty), rhs, tol) > 0:
+                expected = (x, y)
+                break
+        rep = check_kannan(space, f, a, b)
+        assert (rep.holds, rep.witness, rep.minimal_constant) == (expected is None, expected, None)
+
+
 @pytest.mark.parametrize("space", spaces(DigitalImage([(0, 0), (0, 1), (1, 0), (1, 1)], C1)), ids=str)
 def test_single_map_checkers_match_the_reference(space):
-    tol = space.comparison_tolerance
     d = distances(space)
     for f in enumerate_selfmaps(space.image):
-        rows = banach_rows(space, d, f)
-        ref = reference(space, rows, HALF)
-        assert_matches(check_banach(space, f, HALF), ref)
-        assert same_value(lipschitz_min(space, f), ref[1])
+        assert_single_map_checkers(space, d, f)
 
-        hypothesis = banach_verify(space, f).hypothesis
-        holds = compare(ref[1], 1, tol) < 0
-        assert hypothesis.holds == holds
-        assert hypothesis.witness == (None if holds else ref[3])
-        assert same_value(hypothesis.minimal_constant, ref[1])
 
-        for checker, five in ((check_quasi, False), (check_ciric5, True)):
-            rows_t = max_term_rows(space, d, f, five)
-            assert_matches(checker(space, f, HALF), reference(space, rows_t, HALF))
-            for r in COEFFICIENTS:
-                fast = checker(space, f, r, minimal=False)
-                assert fast.witness == violation(space, rows_t, r)
-                assert fast.minimal_constant is None
+def assert_map_pair_checkers(space, d, g, h):
+    tol = space.comparison_tolerance
+    pts = space.points
+    pairs = ordered_pairs(space)
+    rows = [((x, y), d(h(x), h(y)), d(g(x), g(y))) for x, y in pairs]
+    dom = check_pair_domination(space, g, h, HALF)
+    assert_matches(dom.condition, reference(space, rows, HALF))
+    assert dom.range_included == (set(h.values) <= set(g.values))
+    for rho in COEFFICIENTS:
+        fast = check_pair_domination(space, g, h, rho, minimal=False).condition
+        assert fast.witness == violation(space, rows, rho)
+        assert (fast.minimal_constant, fast.no_finite_constant) == (None, False)
 
-        for a, b in KANNAN:
-            expected = None
-            for x, y in ordered_pairs(space):
-                tx, ty = f(x), f(y)
-                rhs = (d(x, tx) + d(y, ty)) * a + (d(x, ty) + d(tx, y)) * b
-                if compare(d(tx, ty), rhs, tol) > 0:
-                    expected = (x, y)
-                    break
-            rep = check_kannan(space, f, a, b)
-            assert (rep.holds, rep.witness, rep.minimal_constant) == (expected is None, expected, None)
+    rows = [((x, y), d(g(x), g(y)) + d(h(x), h(y)), d(h(x), h(y))) for x, y in pairs]
+    sal = check_saluja(space, g, h, HALF)
+    assert_matches(sal.condition, reference(space, rows, HALF))
+    assert sal.first_constant == (len(set(g.values)) == 1)
+    assert sal.second_constant == (len(set(h.values)) == 1)
+    fast = check_saluja(space, g, h, HALF, minimal=False).condition
+    assert fast.witness == violation(space, rows, HALF)
+
+    t, s = g, h
+    undefined, witness = [], None
+    for x, y in pairs:
+        denom = d(x, s(y)) + d(y, t(x))
+        if compare(0, denom, tol) >= 0:
+            undefined.append((x, y))
+            continue
+        numer = d(x, t(x)) * d(x, s(y)) + d(y, s(y)) * d(y, t(x))
+        if witness is None and compare(d(t(x), s(y)) * denom, numer, tol) > 0:
+            witness = (x, y)
+    rat = parv_rational_check(space, t, s)
+    assert (rat.holds, rat.witness) == (witness is None, witness)
+    assert rat.undefined_pairs == tuple(undefined)
+    assert (rat.minimal_constant, rat.no_finite_constant) == (None, False)
+
+    weak = next(
+        ((x,) for x in pts if compare(d(s(t(x)), t(s(x))), d(s(x), t(x)), tol) > 0), None
+    )
+    rep = weakly_commutative(space, s, t)
+    assert (rep.holds, rep.witness) == (weak is None, weak)
+
+    clash = next(((x,) for x in pts if s(x) == t(x) and s(t(x)) != t(s(x))), None)
+    rep = compatible(space, s, t)
+    assert (rep.holds, rep.witness) == (clash is None, clash)
 
 
 @pytest.mark.parametrize("space", spaces(digital_interval(0, 2)), ids=str)
 def test_two_map_checkers_match_the_reference(space):
-    tol = space.comparison_tolerance
     d = distances(space)
-    pts = space.points
-    pairs = ordered_pairs(space)
     for g, h in enumerate_map_pairs(space.image):
-        rows = [((x, y), d(h(x), h(y)), d(g(x), g(y))) for x, y in pairs]
-        dom = check_pair_domination(space, g, h, HALF)
-        assert_matches(dom.condition, reference(space, rows, HALF))
-        assert dom.range_included == (set(h.values) <= set(g.values))
-        for rho in COEFFICIENTS:
-            fast = check_pair_domination(space, g, h, rho, minimal=False).condition
-            assert fast.witness == violation(space, rows, rho)
-            assert (fast.minimal_constant, fast.no_finite_constant) == (None, False)
+        assert_map_pair_checkers(space, d, g, h)
 
-        rows = [((x, y), d(g(x), g(y)) + d(h(x), h(y)), d(h(x), h(y))) for x, y in pairs]
-        sal = check_saluja(space, g, h, HALF)
-        assert_matches(sal.condition, reference(space, rows, HALF))
-        assert sal.first_constant == (len(set(g.values)) == 1)
-        assert sal.second_constant == (len(set(h.values)) == 1)
-        fast = check_saluja(space, g, h, HALF, minimal=False).condition
-        assert fast.witness == violation(space, rows, HALF)
 
-        t, s = g, h
-        undefined, witness = [], None
-        for x, y in pairs:
-            denom = d(x, s(y)) + d(y, t(x))
-            if compare(0, denom, tol) >= 0:
-                undefined.append((x, y))
-                continue
-            numer = d(x, t(x)) * d(x, s(y)) + d(y, s(y)) * d(y, t(x))
-            if witness is None and compare(d(t(x), s(y)) * denom, numer, tol) > 0:
-                witness = (x, y)
-        rat = parv_rational_check(space, t, s)
-        assert (rat.holds, rat.witness) == (witness is None, witness)
-        assert rat.undefined_pairs == tuple(undefined)
-        assert (rat.minimal_constant, rat.no_finite_constant) == (None, False)
+GRID3 = [(i, j) for i in range(3) for j in range(3)]
+MANY_LEVELS = [
+    space
+    for img in (DigitalImage(GRID3, C1), DigitalImage(GRID3, C2), digital_interval(0, 8))
+    for space in spaces(img)
+]
 
-        weak = next(
-            ((x,) for x in pts if compare(d(s(t(x)), t(s(x))), d(s(x), t(x)), tol) > 0), None
-        )
-        rep = weakly_commutative(space, s, t)
-        assert (rep.holds, rep.witness) == (weak is None, weak)
 
-        clash = next(((x,) for x in pts if s(x) == t(x) and s(t(x)) != t(s(x))), None)
-        rep = compatible(space, s, t)
-        assert (rep.holds, rep.witness) == (clash is None, clash)
+def seeded_maps(space, count, seed):
+    """count random self-maps of the space, then its constant maps."""
+    rng, pts = random.Random(seed), space.points
+    drawn = [SelfMap(space.image, tuple(rng.choice(pts) for _ in pts)) for _ in range(count)]
+    return drawn + [SelfMap.constant(space.image, p) for p in pts[:: len(pts) // 2]]
+
+
+@pytest.mark.parametrize("space", MANY_LEVELS, ids=str)
+def test_single_map_checkers_match_the_reference_on_many_levels(space):
+    d = distances(space)
+    for f in seeded_maps(space, 24, 17):
+        assert_single_map_checkers(space, d, f)
+
+
+@pytest.mark.parametrize("space", MANY_LEVELS, ids=str)
+def test_two_map_checkers_match_the_reference_on_many_levels(space):
+    d = distances(space)
+    maps = seeded_maps(space, 8, 29)
+    rng = random.Random(41)
+    drawn = [tuple(rng.sample(maps, 2)) for _ in range(24)]
+    # A constant first map faces a moving second one: domination and the
+    # sum bound then have no finite constant.
+    edge = [(maps[-1], maps[0]), (maps[0], maps[-1]), (maps[-2], maps[-1])]
+    for g, h in drawn + edge:
+        assert_map_pair_checkers(space, d, g, h)
+    assert check_pair_domination(space, *edge[0], HALF).condition.no_finite_constant
+    assert check_saluja(space, *edge[1], HALF).condition.no_finite_constant

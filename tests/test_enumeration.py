@@ -221,13 +221,22 @@ def test_the_monotone_exhaustion_decides_few_tables(monkeypatch):
 
 def test_only_the_rational_search_checks_its_hypothesis_per_table(monkeypatch):
     calls = Counter()
-    for name in ("check_quasi", "check_ciric5", "parv_rational_check"):
+    for name in ("check_quasi", "check_ciric5", "_rational_holds"):
         monkeypatch.setattr(contracts, name, counting(calls, name, getattr(contracts, name)))
     assert find_counterexample("quasi-fixed-point", 4).status == EXHAUSTED
     assert find_counterexample("five-term-fixed-point", 4).status == EXHAUSTED
     assert calls["check_quasi"] == calls["check_ciric5"] == 0
     assert find_counterexample("rational-alternating-common-fix", 2).status == COUNTEREXAMPLE
-    assert calls["parv_rational_check"] >= 1
+    assert calls["_rational_holds"] >= 1
+
+
+def test_the_rational_search_builds_maps_only_for_its_witness(monkeypatch):
+    calls = Counter()
+    build = SelfMap.__post_init__
+    monkeypatch.setattr(SelfMap, "__post_init__", counting(calls, "build", build))
+    outcome = find_counterexample("rational-alternating-common-fix", 5)
+    assert outcome.status == COUNTEREXAMPLE and outcome.stats["hypothesis_hits"] > 1
+    assert calls["build"] == len(outcome.maps) == 2
 
 
 def test_the_budget_counts_every_entry_a_search_assigns(monkeypatch):

@@ -7,6 +7,7 @@ that rests on, and count the exact comparisons an exhaustive search
 still makes.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ SPACES = [
     for img in small_connected_images(5)
     for m in (L1, L2, SHORTEST_PATH)
 ] + [DigitalMetricSpace(DigitalImage(GRID3, adj), Lp(3)) for adj in (C1, C2)]
+L2_SPACES = [DigitalMetricSpace(img, L2) for img in small_connected_images(12)] + [
+    DigitalMetricSpace(DigitalImage(GRID3, adj), L2) for adj in (C1, C2)
+]
 COEFFICIENTS = tuple(Fraction(c) for c in ("0", "1/4", "1/3", "1/2", "3/4", "1", "3/2", "2"))
 
 
@@ -106,3 +110,14 @@ def test_the_distance_matrix_is_filled_once(space, monkeypatch):
     contracts.parv_rational_check(fresh, f, g)
     fixpoint.banach_verify(fresh, g)
     assert calls["distance"] == 0
+
+
+@pytest.mark.parametrize("space", L2_SPACES, ids=repr)
+def test_l2_levels_sort_by_their_squares_with_no_sign_decided(space, calls):
+    fresh = DigitalMetricSpace(space.image, L2)
+    levels, rank = fresh.levels, fresh.rank
+    assert calls["sign"] == calls["compare"] == 0
+    n = len(fresh)
+    values = (fresh.index_distance(i, j) for i, j in itertools.product(range(n), repeat=2))
+    assert levels == tuple(sorted(dict.fromkeys(values)))
+    assert all(levels[rank[i][j]] == fresh.index_distance(i, j) for i in range(n) for j in range(n))

@@ -221,6 +221,20 @@ def test_hausdorff_validation():
         hausdorff(sp, [0], [9])
 
 
+@pytest.mark.parametrize("metric", (L1, L2, Lp(3)), ids=str)
+def test_hausdorff_reads_only_the_pairs_it_asks(metric, monkeypatch):
+    """Validated once, each pair read without distance's checks, and
+    under l_p no distance matrix built: a small question on a large
+    image stays small."""
+    img = DigitalImage([(i, j) for i in range(30) for j in range(30)])
+    expected = DigitalMetricSpace(img, metric).distance((0, 0), (29, 29))
+    sp = DigitalMetricSpace(img, metric)
+    calls = []
+    monkeypatch.setattr(DigitalMetricSpace, "distance", lambda *args: calls.append(args))
+    assert hausdorff(sp, [(0, 0), (3, 4)], [(29, 29)]) == expected
+    assert calls == [] and "_matrix" not in vars(sp)
+
+
 def brute_hausdorff(sp, a, b):
     directed = lambda src, dst: max(
         min(sp.distance(x, y) for y in dst) for x in src
