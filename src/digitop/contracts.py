@@ -79,7 +79,9 @@ def _unit_fraction(value, name: str) -> Fraction:
 
 
 class _Arith:
-    """Comparison and scaling bound to one space's exactness regime."""
+    """Comparison bound to one space's exactness regime, and scaling in
+    the tolerance regime.  Exact regimes scale nothing: a bound with
+    rational coefficients is decided with their denominators cleared."""
 
     def __init__(self, space: DigitalMetricSpace):
         self.tol = space.comparison_tolerance
@@ -95,8 +97,7 @@ class _Arith:
         return compare(a, 1, self.tol) < 0
 
     def scale(self, coeff: Fraction, value):
-        if self.tol is None:
-            return coeff * value
+        """coeff * value for an mpf value of the tolerance regime."""
         import mpmath  # only general l_p needs it; loading it costs start-up
 
         return mpmath.mpf(coeff.numerator) * value / coeff.denominator
@@ -138,12 +139,18 @@ def _lhs(levels: tuple, key):
 
 def _bound(ar: _Arith, levels: tuple, key, coeff: Fraction) -> bool:
     """lhs <= coeff * base, keyed by (lhs key, base level)."""
-    return ar.le(_lhs(levels, key[0]), ar.scale(coeff, levels[key[1]]))
+    lhs, base = _lhs(levels, key[0]), levels[key[1]]
+    if ar.exact:
+        return ar.le(coeff.denominator * lhs, coeff.numerator * base)
+    return ar.le(lhs, ar.scale(coeff, base))
 
 
 def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> bool:
     """Kannan's inequality by its five levels, each sum's two ascending."""
     lhs, x, y, u, w = (levels[k] for k in key)
+    if ar.exact:
+        da, db = a.denominator, b.denominator
+        return ar.le(da * db * lhs, a.numerator * db * (x + y) + b.numerator * da * (u + w))
     return ar.le(lhs, ar.scale(a, x + y) + ar.scale(b, u + w))
 
 
@@ -291,9 +298,10 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     {a, b >= 0, a + b < 1/2}, not a half-line.
     """
     a, b = _fraction(a), _fraction(b)
-    if a < 0 or b < 0:
+    if a.numerator < 0 or b.numerator < 0:
         raise ValueError("coefficients must be nonnegative")
-    if a + b >= Fraction(1, 2):
+    da, db = a.denominator, b.denominator
+    if 2 * (a.numerator * db + b.numerator * da) >= da * db:
         raise ValueError(f"need a + b < 1/2, got {a + b}")
     terms = partial(_kannan_terms, space.rank, _positions(space, t))
     return _report(space, _witness(space, terms, _verdicts(space, _kannan_bound, a, b)))

@@ -62,10 +62,6 @@ class StabilityVerdict:
             raise ValueError("verdict and deviating orbit disagree")
 
 
-def _all_orbits(f: SelfMap) -> tuple[OrbitReport, ...]:
-    return tuple(orbit(f, x) for x in f.domain.points)
-
-
 def _settles_at(report: OrbitReport, p: Point) -> bool:
     return report.kind == EVENTUALLY_CONSTANT and report.value == p
 
@@ -75,19 +71,19 @@ def _confirm(
 ) -> TheoremReport:
     """The shared conclusion check of both theorem verifiers.
 
-    Scans Fix(f), runs an orbit from every point, requires each to
-    settle at the unique fixed point, and re-checks the proof's descent
-    bound descends(seq, n) along the orbit, given as the positions seq of
-    its points, for n in range(len(seq) - 2).  The contraction bound
-    compares steps n and n + 1, so that range covers it; the
-    displacement estimate bounds step n alone, and the step it leaves
-    out is the settled orbit's last, d(p, p) = 0, which every
+    Scans Fix(f), reads the orbit from every point (run once per map),
+    requires each to settle at the unique fixed point, and re-checks the
+    proof's descent bound descends(seq, n) along the orbit, given as the
+    positions seq it walked, for n in range(len(seq) - 2).  The
+    contraction bound compares steps n and n + 1, so that range covers
+    it; the displacement estimate bounds step n alone, and the step it
+    leaves out is the settled orbit's last, d(p, p) = 0, which every
     nonnegative bound meets.
     """
     if not hypothesis.holds:
         return TheoremReport(hypothesis, HYPOTHESIS_FAILS)
     fixes = fixed_points(f)
-    orbits = _all_orbits(f)
+    orbits, walks = f.picard_orbits
     if len(fixes) != 1:
         return TheoremReport(
             hypothesis,
@@ -97,12 +93,10 @@ def _confirm(
             detail=f"expected exactly one fixed point, found {len(fixes)}",
         )
     p = fixes[0]
-    index = space.image.index
-    for rep in orbits:
+    for rep, seq in zip(orbits, walks):
         if not _settles_at(rep, p):
             detail = f"orbit from {fmt_point(rep.start)} does not settle at {fmt_point(p)}"
         else:
-            seq = [index[x] for x in rep.points]
             step = next((n for n in range(len(seq) - 2) if not descends(seq, n)), None)
             if step is None:
                 continue
@@ -134,9 +128,11 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
 
 
 def kannan_descent_constant(a, b) -> Fraction:
-    """The proof's orbit-contraction factor A = (a+b) / (1 - (a+b))."""
-    s = Fraction(a) + Fraction(b)
-    return s / (1 - s)
+    """The proof's orbit-contraction factor A = (a+b) / (1 - (a+b)),
+    over the common denominator of a and b."""
+    a, b = contracts._fraction(a), contracts._fraction(b)
+    s = a.numerator * b.denominator + b.numerator * a.denominator
+    return Fraction(s, a.denominator * b.denominator - s)
 
 
 def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
@@ -145,14 +141,17 @@ def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
     then T has a unique fixed point.
 
     Confirmation scans Fix(T), runs every orbit, and re-checks the
-    proof's estimate d(x_n, x_{n+1}) <= A^n * d(x_0, x_1) termwise.
+    proof's estimate d(x_n, x_{n+1}) <= A^n * d(x_0, x_1) termwise; with
+    A = p/q, exact regimes decide it as q^n * d(x_n, x_{n+1}) <= p^n * d(x_0, x_1).
     """
-    hypothesis = check_kannan(space, t, a, b)
-    ar = _Arith(space)
-    big_a = kannan_descent_constant(a, b) if hypothesis.holds else None
-    d = space.index_distance
+    hypothesis = check_kannan(space, t, a, b)  # refuses a + b >= 1/2, so A is defined
+    ar, d = _Arith(space), space.index_distance
+    big_a = kannan_descent_constant(a, b)
+    p, q = big_a.numerator, big_a.denominator
 
     def descends(seq, n):
+        if ar.exact:
+            return ar.le(q**n * d(seq[n], seq[n + 1]), p**n * d(seq[0], seq[1]))
         return ar.le(d(seq[n], seq[n + 1]), ar.scale(big_a**n, d(seq[0], seq[1])))
 
     return _confirm(space, t, hypothesis, descends, "estimate")
@@ -171,7 +170,7 @@ def alternating_orbit(
     """
     if s.domain != t.domain:
         raise ValueError("alternating iteration needs a shared domain")
-    return _iterate((t, s), x0, max_steps)
+    return _iterate((t, s), x0, max_steps)[0]
 
 
 def t_stability_verdict(space: DigitalMetricSpace, t: SelfMap, p) -> StabilityVerdict:

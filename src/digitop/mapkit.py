@@ -81,6 +81,13 @@ class SelfMap:
         return tuple(index[v] for v in self.values)
 
     @cached_property
+    def picard_orbits(self) -> tuple[tuple[OrbitReport, ...], tuple[list[int], ...]]:
+        """The Picard orbit from each point, in point order, and the
+        positions each walked; computed once, on first use."""
+        walks = [_iterate((self,), x, None) for x in self.domain.points]
+        return tuple(rep for rep, _ in walks), tuple(seq for _, seq in walks)
+
+    @cached_property
     def image_set(self) -> frozenset:
         return frozenset(self.values)
 
@@ -241,8 +248,9 @@ def _minimal_period(cycle: list) -> int:
     return len(cycle)
 
 
-def _iterate(maps: tuple[SelfMap, ...], x0, max_steps: int | None) -> OrbitReport:
-    """The orbit x0, maps[0](x0), maps[1](...), ..., the maps applied in turn.
+def _iterate(maps: tuple[SelfMap, ...], x0, max_steps: int | None):
+    """The orbit x0, maps[0](x0), maps[1](...), ..., the maps applied in
+    turn, as its OrbitReport and the positions it walked.
 
     Runs on value positions.  Repetition is detected on (position, turn)
     states, since a point alone can recur without the tail repeating; the
@@ -275,13 +283,13 @@ def _iterate(maps: tuple[SelfMap, ...], x0, max_steps: int | None) -> OrbitRepor
         seen[state] = step
     pts = tuple(map(img.points.__getitem__, seq))
     if first < 0:  # the budget ran out before a state repeated
-        return OrbitReport(pts, TRUNCATED)
+        return OrbitReport(pts, TRUNCATED), seq
     period = _minimal_period(seq[first:step])
     if period > 1:
-        return OrbitReport(pts, EVENTUALLY_PERIODIC, period=period)
+        return OrbitReport(pts, EVENTUALLY_PERIODIC, period=period), seq
     # The tail settles at first: had the point before it been the value
     # too, that point's state would have recurred len(maps) steps later.
-    return OrbitReport(pts, EVENTUALLY_CONSTANT, settle_index=first, value=pts[-1])
+    return OrbitReport(pts, EVENTUALLY_CONSTANT, settle_index=first, value=pts[-1]), seq
 
 
 def orbit(f: SelfMap, x0, max_steps: int | None = None) -> OrbitReport:
@@ -290,7 +298,7 @@ def orbit(f: SelfMap, x0, max_steps: int | None = None) -> OrbitReport:
     Iterates until a point repeats or max_steps applications are spent.
     The default budget |X| + 1 makes truncation impossible (pigeonhole).
     """
-    return _iterate((f,), x0, max_steps)
+    return _iterate((f,), x0, max_steps)[0]
 
 
 def accumulation_points(report: OrbitReport) -> tuple[Point, ...]:

@@ -1,0 +1,134 @@
+"""The level verdicts and the descent estimate against Fraction scaling.
+
+Exact regimes decide lhs <= c * base as den(c) * lhs <= num(c) * base, and
+Kannan's bound and the descent estimate with all denominators cleared.
+Each is compared here with the direct form, the coefficient a Fraction
+multiplying the distance, on every level key of each space; the tolerance
+regimes (l_3, l_{3/2}) keep the mpf scaling, compared with it as written
+below.
+"""
+
+import itertools
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from digitop import contracts, fixpoint
+from digitop.contracts import ConditionReport, _Arith, _bound, _kannan_bound
+from digitop.exact import compare
+from digitop.mapkit import EVENTUALLY_CONSTANT, enumerate_selfmaps, fixed_points
+from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
+from digitop.space import C1, C2, DigitalImage, digital_interval
+
+GRID3 = DigitalImage([(i, j) for i in range(3) for j in range(3)], C1)
+SPACES = [
+    DigitalMetricSpace(digital_interval(0, 4), metric) for metric in (L1, L2, SHORTEST_PATH)
+] + [
+    DigitalMetricSpace(GRID3, L1),
+    DigitalMetricSpace(GRID3, L2),
+    DigitalMetricSpace(GRID3, SHORTEST_PATH),
+    DigitalMetricSpace(DigitalImage(GRID3.points, C2), SHORTEST_PATH),
+    DigitalMetricSpace(GRID3, Lp(3)),
+    DigitalMetricSpace(GRID3, Lp(Fraction(3, 2))),
+]
+COEFFICIENTS = tuple(Fraction(c) for c in ("0", "1/8", "1/3", "49/100", "9/20", "3/4"))
+# The pairs check_kannan admits, a + b < 1/2.
+KANNAN_PAIRS = [(a, b) for a in COEFFICIENTS for b in COEFFICIENTS if a + b < Fraction(1, 2)]
+
+
+def scaled(space, coeff: Fraction, value):
+    """coeff * value: a Fraction product, or the tolerance regime's mpf."""
+    if space.comparison_tolerance is None:
+        return coeff * value
+    return mpmath.mpf(coeff.numerator) * value / coeff.denominator
+
+
+def at_most(space, lhs, rhs) -> bool:
+    return compare(lhs, rhs, space.comparison_tolerance) <= 0
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_bound_verdicts_match_fraction_scaling(space):
+    levels, ar = space.levels, _Arith(space)
+    ranks = range(len(levels))
+    # (lhs level, base level), and Saluja's (pair of lhs levels, base level).
+    keys = list(itertools.product(ranks, ranks))
+    keys += [((j, k), b) for j, k, b in itertools.product(ranks, ranks, ranks)]
+    for coeff, (lhs, base) in itertools.product(COEFFICIENTS, keys):
+        value = levels[lhs] if isinstance(lhs, int) else levels[lhs[0]] + levels[lhs[1]]
+        expected = at_most(space, value, scaled(space, coeff, levels[base]))
+        assert _bound(ar, levels, (lhs, base), coeff) == expected, (coeff, lhs, base)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_kannan_verdicts_match_fraction_scaling(space):
+    levels, ar = space.levels, _Arith(space)
+    ranks = range(len(levels))
+    ascending = list(itertools.combinations_with_replacement(ranks, 2))
+    # coeff * (d + d') by coefficient and ascending pair of levels.
+    term = {
+        (c, pair): scaled(space, c, levels[pair[0]] + levels[pair[1]])
+        for c in COEFFICIENTS
+        for pair in ascending
+    }
+    for (a, b), xy, uw in itertools.product(KANNAN_PAIRS, ascending, ascending):
+        rhs = term[a, xy] + term[b, uw]
+        for lhs in ranks:
+            expected = at_most(space, levels[lhs], rhs)
+            assert _kannan_bound(ar, levels, (lhs, *xy, *uw), a, b) == expected, (a, b, lhs)
+
+
+def test_the_descent_constant_matches_fraction_arithmetic():
+    for a, b in KANNAN_PAIRS:
+        assert fixpoint.kannan_descent_constant(a, b) == (a + b) / (1 - (a + b))
+
+
+def reference_detail(space, f, big_a: Fraction) -> str:
+    """_confirm's detail with the estimate d(x_n, x_{n+1}) <= A^n * d(x_0, x_1)
+    scaled directly; "" when every orbit settles and descends."""
+    (p,) = fixed_points(f)
+    d = space.distance
+    for rep in f.picard_orbits[0]:
+        pts = rep.points
+        if rep.kind != EVENTUALLY_CONSTANT or rep.value != p:
+            return f"orbit from {rep.start[0]} does not settle at {p[0]}"
+        for n in range(len(pts) - 2):
+            if not at_most(space, d(pts[n], pts[n + 1]), scaled(space, big_a**n, d(*pts[:2]))):
+                return f"descent estimate fails at step {n} from {rep.start[0]}"
+    return ""
+
+
+@pytest.mark.parametrize("metric", [L1, L2, Lp(3), Lp(Fraction(3, 2))], ids=str)
+def test_the_descent_estimate_matches_fraction_scaling(metric, monkeypatch):
+    """Every map with one fixed point on a 4-point interval, its hypothesis
+    claimed, so that the estimate decides the conclusion wherever the
+    orbits settle."""
+    monkeypatch.setattr(fixpoint, "check_kannan", lambda *args: ConditionReport(holds=True))
+    space = DigitalMetricSpace(digital_interval(0, 3), metric)
+    outcomes = set()
+    for f in enumerate_selfmaps(space.image):
+        if len(fixed_points(f)) != 1:
+            continue
+        for a, b in KANNAN_PAIRS:
+            rep = fixpoint.kannan_verify(space, f, a, b)
+            detail = reference_detail(space, f, fixpoint.kannan_descent_constant(a, b))
+            assert (rep.conclusion, rep.detail) == (
+                (fixpoint.REFUTES, detail) if detail else (fixpoint.CONFIRMS, "")
+            ), (str(f), a, b)
+            outcomes.add(detail.split(" ")[0])
+    assert outcomes == {"", "orbit", "descent"}
+
+
+def test_check_kannan_admits_exactly_the_open_triangle():
+    sp = DigitalMetricSpace(digital_interval(0, 1), L1)
+    f = next(enumerate_selfmaps(sp.image))  # constant: every admitted pair holds
+    on_the_edge = [(Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 3), Fraction(1, 6))]
+    on_the_edge += [(Fraction(49, 100), Fraction(1, 100)), (0, Fraction(1, 2)), (1, 0)]
+    for a, b in on_the_edge:
+        with pytest.raises(ValueError, match="a \\+ b < 1/2"):
+            contracts.check_kannan(sp, f, a, b)
+    with pytest.raises(ValueError, match="nonnegative"):
+        contracts.check_kannan(sp, f, Fraction(-1, 8), Fraction(1, 8))
+    for a, b in KANNAN_PAIRS + [(Fraction(49, 100), Fraction(1, 101)), ("1/3", 0)]:
+        assert contracts.check_kannan(sp, f, a, b).holds

@@ -45,10 +45,10 @@ def test_level_order(space):
             assert type(value) is type(space.index_distance(i, j))
     # A per-base cap of the levels meeting lhs <= coeff * base needs the
     # levels that meet it to be a prefix.
-    ar = _Arith(space)
+    ar, ranks = _Arith(space), range(len(levels))
     for coeff in COEFFICIENTS:
-        for base in levels:
-            verdicts = [ar.le(level, ar.scale(coeff, base)) for level in levels]
+        for base in ranks:
+            verdicts = [contracts._bound(ar, levels, (lhs, base), coeff) for lhs in ranks]
             assert verdicts == sorted(verdicts, reverse=True), (coeff, base)
 
 

@@ -5,7 +5,8 @@ hypothesis prefix admits, and count each pruned table as a hypothesis
 failure.  The loops below are the earlier ones: every self-map (or pair)
 from the product enumerators goes through the verifier.  Whole suite
 entries must agree, on more spaces and coefficients than the suite uses.
-A work count pins that the suite verifies only hypothesis-true maps.
+Work counts pin that the suite verifies only hypothesis-true maps, and
+builds each verified map, and runs its orbits, once per space.
 """
 
 from collections import Counter
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from digitop import contracts, fixpoint, search
+from digitop import contracts, fixpoint, mapkit, search
 from digitop.mapkit import SelfMap, enumerate_selfmaps
-from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace
+from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
 from digitop.search import (
     _KANNAN_GRID,
     SuiteEntry,
@@ -152,6 +153,8 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         (search.fixpoint, "kannan_verify"),
         (search.fixpoint, "banach_verify"),
         (search.contracts, "check_saluja"),
+        (mapkit, "_iterate"),
+        (SelfMap, "__post_init__"),
     ):
         monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
     report = verify_paper_suite()
@@ -165,3 +168,26 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     # The prefix decides the bound on every pair it admits: only the
     # constructed pair is checked.
     assert calls["check_saluja"] == 1
+    # The 246 two-coefficient verifications fall on 33 distinct tables of
+    # the six interval spaces: each sweep builds a SelfMap once per table
+    # and space, and each map runs its orbits once.  A map per verification
+    # and every orbit per verification made 276 SelfMaps and 969 orbits.
+    assert calls["__post_init__"] == 63
+    assert calls["_iterate"] == 198
+
+
+@pytest.mark.parametrize("metric", [L1, L2, Lp(3), SHORTEST_PATH], ids=str)
+def test_a_map_runs_its_orbits_once_across_coefficients(metric, monkeypatch):
+    img, values = digital_interval(0, 3), ((0,), (0,), (0,), (1,))
+    grid = [pair for pairs in KANNAN_GRIDS.values() for pair in pairs]
+    calls = Counter()
+    monkeypatch.setattr(mapkit, "_iterate", counting(calls, "_iterate", mapkit._iterate))
+    space, shared = DigitalMetricSpace(img, metric), SelfMap(img, values)
+    reports = [fixpoint.kannan_verify(space, shared, a, b) for a, b in grid]
+    assert calls["_iterate"] == len(img)
+    assert {r.conclusion for r in reports} == {fixpoint.CONFIRMS, fixpoint.HYPOTHESIS_FAILS}
+    fresh_reports = [
+        fixpoint.kannan_verify(DigitalMetricSpace(img, metric), SelfMap(img, values), a, b)
+        for a, b in grid
+    ]
+    assert reports == fresh_reports
