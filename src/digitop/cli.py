@@ -19,10 +19,12 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import fixpoint, mapkit, metric, search
 from .contracts import (
     _Arith,
-    check_ciric5,
-    check_pair_domination,
-    check_quasi,
-    check_saluja,
+    _ciric5_terms,
+    _constant,
+    _domination_terms,
+    _keys,
+    _quasi_terms,
+    _saluja_terms,
     compatible,
     lipschitz_min,
     parv_rational_check,
@@ -156,8 +158,8 @@ def _classify_finite_single(space, m) -> list[dict]:
             "holds_below_one": ar.below_one(k),
         }
     )
-    for label, checker in (("quasi-max", check_quasi), ("five-term-max", check_ciric5)):
-        c = checker(space, m, 0, minimal=True).minimal_constant
+    for label, terms in (("quasi-max", _quasi_terms), ("five-term-max", _ciric5_terms)):
+        c = _constant(space, _keys(space, terms, m))[0]
         rows.append(
             {
                 "condition": label,
@@ -170,22 +172,22 @@ def _classify_finite_single(space, m) -> list[dict]:
 
 def _classify_finite_pair(space, first, second) -> list[dict]:
     rows = []
-    dom = check_pair_domination(space, first, second, 0, minimal=True)
+    dom, _, dom_no_finite = _constant(space, _keys(space, _domination_terms, first, second))
     rows.append(
         {
             "condition": "domination-of-second-by-first",
-            "minimal_constant": _value_json(dom.condition.minimal_constant),
-            "no_finite_constant": dom.condition.no_finite_constant,
-            "range_included": dom.range_included,
+            "minimal_constant": _value_json(dom),
+            "no_finite_constant": dom_no_finite,
+            "range_included": second.image_set <= first.image_set,
         }
     )
-    sal = check_saluja(space, first, second, 0, minimal=True)
+    sal, _, sal_no_finite = _constant(space, _keys(space, _saluja_terms, first, second))
     rows.append(
         {
             "condition": "sum-bound",
-            "minimal_constant": _value_json(sal.condition.minimal_constant),
-            "no_finite_constant": sal.condition.no_finite_constant,
-            "both_constant": sal.first_constant and sal.second_constant,
+            "minimal_constant": _value_json(sal),
+            "no_finite_constant": sal_no_finite,
+            "both_constant": first.is_constant and second.is_constant,
         }
     )
     wc = weakly_commutative(space, first, second)
@@ -372,21 +374,33 @@ def _cmd_fpp(args, parser) -> int:
     return 1 if (args.expect_pass and not verdict.holds) else 0
 
 
-def _cmd_search(args, parser) -> int:
-    grid = None
-    if args.params is not None:
-        if search.ASSERTIONS[args.assertion].param is None:
-            raise DocumentError("--params", f"{args.assertion} takes no parameter")
+def _param_grid(assertion: str, text: str) -> tuple[Fraction, ...]:
+    """The --params grid of an assertion that takes a parameter, each value
+    in [0, 1)."""
+    name = search.ASSERTIONS[assertion].param
+    if name is None:
+        raise DocumentError("--params", f"{assertion} takes no parameter")
+    grid = []
+    for part in text.split(","):
         try:
-            grid = tuple(Fraction(part) for part in args.params.split(","))
-        except (ValueError, ZeroDivisionError) as err:
+            v = Fraction(part)
+        except ZeroDivisionError:
+            raise DocumentError("--params", f"{part!r} has a zero denominator") from None
+        except ValueError as err:
             raise DocumentError("--params", str(err)) from None
+        if not 0 <= v < 1:
+            raise DocumentError("--params", f"{name} grid value {part!r} outside [0, 1)")
+        grid.append(v)
+    return tuple(grid)
+
+
+def _cmd_search(args, parser) -> int:
+    grid = None if args.params is None else _param_grid(args.assertion, args.params)
     try:
         outcome = search.find_counterexample(args.assertion, args.size_bound, grid)
     except (ValueError, EnumerationBudgetError) as err:
-        # A budget stop is the size bound's; a bad value may be either flag's.
-        flags = "--size-bound/--params" if grid and isinstance(err, ValueError) else "--size-bound"
-        raise DocumentError(flags, str(err)) from None
+        # The grid is checked above: a bad value or a budget stop is the size bound's.
+        raise DocumentError("--size-bound", str(err)) from None
     payload = {
         "command": "search",
         "assertion": outcome.assertion,

@@ -279,15 +279,21 @@ def _rational_terms(rank, n, v, x, y):
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
     k = _unit_fraction(k, "k")
-    terms = partial(_contraction_terms, space.rank, _positions(space, f))
+    terms = _keys(space, _contraction_terms, f)
     constant = _constant(space, terms) if minimal else None
     return _report(space, _witness(space, terms, _verdicts(space, _bound, k)), constant)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
     """Least k with d(fx, fy) <= k * d(x, y) everywhere; 0 on singletons."""
-    terms = partial(_contraction_terms, space.rank, _positions(space, f))
-    return _constant(space, terms)[0]
+    return _constant(space, _keys(space, _contraction_terms, f))[0]
+
+
+def _keys(space: DigitalMetricSpace, terms: Callable, *maps: SelfMap) -> Callable:
+    """(i, j) -> terms' level key on the table of one map, or of two (the
+    first map's positions, then the second's)."""
+    table = sum((_positions(space, f) for f in maps), ())
+    return partial(terms, space.rank, *(len(space),) * (len(maps) - 1), table)
 
 
 def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport:
@@ -303,14 +309,14 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     da, db = a.denominator, b.denominator
     if 2 * (a.numerator * db + b.numerator * da) >= da * db:
         raise ValueError(f"need a + b < 1/2, got {a + b}")
-    terms = partial(_kannan_terms, space.rank, _positions(space, t))
+    terms = _keys(space, _kannan_terms, t)
     return _report(space, _witness(space, terms, _verdicts(space, _kannan_bound, a, b)))
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
     r = _unit_fraction(r, "r")
-    terms = partial(_quasi_terms, space.rank, _positions(space, t))
+    terms = _keys(space, _quasi_terms, t)
     constant = _constant(space, terms) if minimal else None
     return _report(space, _witness(space, terms, _verdicts(space, _bound, r)), constant)
 
@@ -318,7 +324,7 @@ def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
     r = _unit_fraction(r, "r")
-    terms = partial(_ciric5_terms, space.rank, _positions(space, t))
+    terms = _keys(space, _ciric5_terms, t)
     constant = _constant(space, terms) if minimal else None
     return _report(space, _witness(space, terms, _verdicts(space, _bound, r)), constant)
 
@@ -328,8 +334,7 @@ def check_pair_domination(
 ) -> PairDominationReport:
     """d(Hx, Hy) <= rho * d(Gx, Gy) for all pairs, plus H(X) subset of G(X)."""
     rho = _unit_fraction(rho, "rho")
-    table = _positions(space, g) + _positions(space, h)
-    terms = partial(_domination_terms, space.rank, len(space), table)
+    terms = _keys(space, _domination_terms, g, h)
     constant = _constant(space, terms) if minimal else None
     report = _report(space, _witness(space, terms, _verdicts(space, _bound, rho)), constant)
     return PairDominationReport(report, h.image_set <= g.image_set)
@@ -345,8 +350,7 @@ def check_saluja(
     states each map's constancy.
     """
     xi = _unit_fraction(xi, "xi")
-    table = _positions(space, j) + _positions(space, k)
-    terms = partial(_saluja_terms, space.rank, len(space), table)
+    terms = _keys(space, _saluja_terms, j, k)
     constant = _constant(space, terms) if minimal else None
     report = _report(space, _witness(space, terms, _verdicts(space, _bound, xi)), constant)
     return ConstancyReport(report, j.is_constant, k.is_constant)
@@ -371,8 +375,7 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     it is decided once per five-level key in the space's memo.
     """
     n, pts = len(space), space.points
-    table = _positions(space, t) + _positions(space, s)
-    terms = partial(_rational_terms, space.rank, n, table)
+    terms = _keys(space, _rational_terms, t, s)
     pairs = itertools.product(range(n), repeat=2)
     witness = _witness(space, terms, _verdicts(space, _rational_bound))
     return ConditionReport(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import contracts
 from .contracts import ConditionReport, _Arith, _positions, check_kannan
@@ -115,7 +114,7 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
     the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
     """
     ar = _Arith(space)
-    terms = partial(contracts._contraction_terms, space.rank, _positions(space, f))
+    terms = contracts._keys(space, contracts._contraction_terms, f)
     constant = contracts._constant(space, terms)
     k_min, worst, _ = constant
     hypothesis = contracts._report(space, None if ar.below_one(k_min) else worst, constant)

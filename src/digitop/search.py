@@ -104,10 +104,11 @@ class _Assertion:
 
 def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, within: bool):
     """narrow(t, k) for enumerate_tables from a checker's level key by pair,
-    terms(rank, [n,] t, i, j), and its verdict memo: each later entry j of the
-    last map keeps the values for which (k, j) holds (each condition is
-    symmetric; (i, i) has lhs 0).  With within, the second map's values lie
-    among the first's.  Rows are kept by (k, t[k]) until the first map changes."""
+    terms(rank, [n,] t, i, j), and a memo of its verdicts (a nonzero one
+    holds): each later entry j of the last map keeps the values for which
+    (k, j) holds (each condition is symmetric; (i, i) has lhs 0).  With
+    within, the second map's values lie among the first's.  Rows are kept
+    by (k, t[k]) until the first map changes."""
     n, first = len(space), (arity - 1) * len(space)
     key = functools.partial(terms, space.rank, *(n,) * (arity - 1))
     rows = {}
@@ -128,7 +129,8 @@ def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, withi
                 mask = 0
                 for w in range(n):
                     s[j] = w
-                    mask |= holds[key(s, q, j - first)] << w
+                    if holds[key(s, q, j - first)]:
+                        mask |= 1 << w
                 if mask != (1 << n) - 1:  # a full mask narrows nothing
                     row.append((j, mask))
         return row
@@ -429,21 +431,43 @@ def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
     return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
 
 
+class _GridVerdicts(dict):
+    """A level key's verdicts under every coefficient tuple of a grid, as a
+    bitmask: bit c is the space's memo under grid[c], which it fills."""
+
+    def __init__(self, memos: list):
+        super().__init__()
+        self.memos = memos
+
+    def __missing__(self, key):
+        mask = self[key] = sum(memo[key] << c for c, memo in enumerate(self.memos))
+        return mask
+
+
 def _theorem_sweep(name: str, spaces, grid, terms, rule, verify: Callable) -> SuiteEntry:
     """Tally verify(space, f, *coeffs) over every self-map f of each space,
-    for each coefficient tuple of grid.  Only the maps whose every pair
-    holds under rule (by its level key, terms) are verified, each built
-    once per space; each table pruned fails the hypothesis."""
+    for each coefficient tuple of grid.  One enumeration per space keeps the
+    maps whose every pair holds under rule (by its level key, terms) for
+    some tuple; each leaf is verified, as one SelfMap, under the tuples that
+    hold on all its pairs, in grid order.  Every (table, tuple) left out
+    fails the hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
     for space in spaces:
-        # One SelfMap per surviving table, so its orbits serve every tuple.
-        maps = functools.cache(functools.partial(_maps, space.image))
-        for coeffs in grid:
-            survivors = 0
-            for t in _sweep(space, 1, terms, contracts._verdicts(space, rule, *coeffs)):
-                survivors += 1
-                counts[_TALLY[verify(space, *maps(tuple(t)), *coeffs).conclusion]] += 1
-            counts["hypothesis_failed"] += len(space) ** len(space) - survivors
+        n, rank = len(space), space.rank
+        holds = _GridVerdicts([contracts._verdicts(space, rule, *coeffs) for coeffs in grid])
+        verified = 0
+        for t in _sweep(space, 1, terms, holds):
+            mask = (1 << len(grid)) - 1
+            for i, j in itertools.product(range(n), repeat=2):
+                mask &= holds[terms(rank, t, i, j)]
+            if not mask:
+                continue
+            f = _maps(space.image, t)
+            for c, coeffs in enumerate(grid):
+                if mask >> c & 1:
+                    verified += 1
+                    counts[_TALLY[verify(space, *f, *coeffs).conclusion]] += 1
+        counts["hypothesis_failed"] += n**n * len(grid) - verified
     return SuiteEntry(name, counts["refuted"] == 0, counts)
 
 

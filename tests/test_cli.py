@@ -598,7 +598,23 @@ def test_search_bad_params(capsys):
         ["search", "--assertion", "quasi-fixed-point", "--params", "1/0"], capsys
     )
     assert code == 2
-    assert err.startswith("error: --params:")
+    assert err == "error: --params: '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ("1/2,3/0", "'3/0' has a zero denominator"),
+        ("1e400", "r grid value '1e400' outside [0, 1)"),
+        ("1/4,-1", "r grid value '-1' outside [0, 1)"),
+    ],
+)
+def test_a_bad_params_value_is_quoted(capsys, params, message):
+    code, out, err = run(
+        ["search", "--assertion", "quasi-fixed-point", "--params", params], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --params: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -608,7 +624,7 @@ def test_search_bad_params(capsys):
         (["fix", "--map", "T", "--max-steps", "0"], "--max-steps"),
         (["fix", "--map", "T", "--start", "[9]", "--max-steps", "0"], "--start/--max-steps"),
         (["search", "--assertion", "quasi-fixed-point", "--size-bound", "0"], "--size-bound"),
-        (["search", "--assertion", "quasi-fixed-point", "--params", "2"], "--size-bound/--params"),
+        (["search", "--assertion", "quasi-fixed-point", "--params", "2"], "--params"),
         (["search", "--assertion", "quasi-fixed-point", "--params", ""], "--params"),
         # The rational form takes no parameter: a grid would be ignored.
         (["search", "--assertion", "rational-alternating-common-fix", "--params", "2"], "--params"),

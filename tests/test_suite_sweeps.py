@@ -5,8 +5,9 @@ hypothesis prefix admits, and count each pruned table as a hypothesis
 failure.  The loops below are the earlier ones: every self-map (or pair)
 from the product enumerators goes through the verifier.  Whole suite
 entries must agree, on more spaces and coefficients than the suite uses.
-Work counts pin that the suite verifies only hypothesis-true maps, and
-builds each verified map, and runs its orbits, once per space.
+Work counts pin that the suite verifies only hypothesis-true maps,
+enumerates each space once for a whole coefficient grid, and builds each
+verified map, and runs its orbits, once per space.
 """
 
 from collections import Counter
@@ -41,7 +42,18 @@ KANNAN_GRIDS = {
         (Fraction(0), Fraction(49, 100)),
         (Fraction(9, 20), Fraction(0)),
     ),
+    # Out of order, with a repeat: the loop verifies a repeated tuple twice.
+    "shuffled": (
+        (Fraction(1, 4), Fraction(1, 8)),
+        (Fraction(0), Fraction(3, 8)),
+        (Fraction(1, 8), Fraction(1, 8)),
+        (Fraction(0), Fraction(0)),
+        (Fraction(1, 8), Fraction(1, 8)),
+    ),
 }
+# The tolerance regime, on the images of at most 3 points.
+KANNAN_CASES = CASES + [(img, Lp(3)) for img in IMAGES if len(img) <= 3]
+KANNAN_IDS = [DigitalMetricSpace(img, metric).describe() for img, metric in KANNAN_CASES]
 
 
 def product_loop(spaces, verify_all) -> dict:
@@ -113,10 +125,15 @@ def test_the_contraction_sweep_matches_the_product_loop(img, metric):
 
 
 @pytest.mark.parametrize("grid", KANNAN_GRIDS.values(), ids=KANNAN_GRIDS.keys())
-@pytest.mark.parametrize("img, metric", CASES, ids=IDS)
-def test_the_two_coefficient_sweep_matches_the_product_loop(img, metric, grid):
-    swept = _suite_two_coefficient(fresh(img, metric), grid)
-    assert swept == two_coefficient_loop(fresh(img, metric), grid)
+@pytest.mark.parametrize("img, metric", KANNAN_CASES, ids=KANNAN_IDS)
+def test_the_two_coefficient_sweep_matches_the_product_loop(img, metric, grid, monkeypatch):
+    looped = two_coefficient_loop(fresh(img, metric), grid)
+    calls = Counter()
+    verify = counting(calls, "kannan_verify", fixpoint.kannan_verify)
+    monkeypatch.setattr(fixpoint, "kannan_verify", verify)
+    assert _suite_two_coefficient(fresh(img, metric), grid) == looped
+    # Only the hypothesis-true (map, tuple) instances are verified.
+    assert calls["kannan_verify"] == looped.evidence["confirmed"] + looped.evidence["refuted"]
 
 
 # The loop takes about a second per coefficient for the 65,536 pairs of a
@@ -148,15 +165,26 @@ def counting(calls: Counter, name: str, fn):
 
 
 def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
-    calls = Counter()
+    calls, per_sweep = Counter(), {}
     for module, name in (
         (search.fixpoint, "kannan_verify"),
         (search.fixpoint, "banach_verify"),
         (search.contracts, "check_saluja"),
+        (search.contracts, "_kannan_terms"),
+        (search, "enumerate_tables"),
         (mapkit, "_iterate"),
         (SelfMap, "__post_init__"),
     ):
         monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    sweep = search._theorem_sweep
+
+    def counted_sweep(name, spaces, *args):
+        before = calls["enumerate_tables"]
+        entry = sweep(name, spaces, *args)
+        per_sweep[name] = (len(spaces), calls["enumerate_tables"] - before)
+        return entry
+
+    monkeypatch.setattr(search, "_theorem_sweep", counted_sweep)
     report = verify_paper_suite()
     assert report.passed
     evidence = {e.name: e.evidence for e in report.entries}
@@ -174,6 +202,14 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     # and every orbit per verification made 276 SelfMaps and 969 orbits.
     assert calls["__post_init__"] == 63
     assert calls["_iterate"] == 198
+    # One enumeration per space for the whole coefficient grid: one per
+    # space and tuple made 6 + 60, and 6,996 two-coefficient level keys.
+    # The key count is exact because each leaf reads all n^2 of its pairs.
+    assert per_sweep == {
+        "contraction-theorem-exhaustive": (6, 6),
+        "two-coefficient-theorem-exhaustive": (6, 6),
+    }
+    assert calls["_kannan_terms"] == 4140
 
 
 @pytest.mark.parametrize("metric", [L1, L2, Lp(3), SHORTEST_PATH], ids=str)
