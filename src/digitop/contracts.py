@@ -2,14 +2,17 @@
 
 Every check quantifies over ordered pairs (x, y), diagonal included,
 and reports the lexicographically least violation.  A pairwise
-condition asks one or both of two questions of a map: _witness finds
-that least failing pair, and _constant the least constant that would
-make the condition hold, with the first pair reaching it.  Checks run on
-canonical point positions and the levels of the space's distances, so
-each map must be a self-map of the space's own points.  On spaces whose
-distances are exact (word metric, taxicab, Euclidean) the verdicts are
-exact; for other exponents the space's comparison tolerance applies and
-reports carry exact=False.
+condition asks one or both of two questions of a map, and both read one
+table, _keys: the map's distinct level keys, each with its first pair.
+_witness finds the least failing pair, the first pair of the first
+failing key, and _constant the least constant that would make the
+condition hold, with the first pair reaching it.  A map keeps its
+tables, by space and condition.  Checks run on canonical point
+positions and the levels of the space's distances, so each map must be
+a self-map of the space's own points.  On spaces whose distances are
+exact (word metric, taxicab, Euclidean) the verdicts are exact; for
+other exponents the space's comparison tolerance applies and reports
+carry exact=False.
 """
 
 from __future__ import annotations
@@ -145,13 +148,25 @@ def _bound(ar: _Arith, levels: tuple, key, coeff: Fraction) -> bool:
     return ar.le(lhs, ar.scale(coeff, base))
 
 
-def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> bool:
-    """Kannan's inequality by its five levels, each sum's two ascending."""
+def _kannan_sums(levels: tuple, key) -> tuple:
+    """Kannan's three sums by its five levels: lhs, x + y and u + w.  No
+    coefficient changes them, so a grid of (a, b) builds them once."""
     lhs, x, y, u, w = (levels[k] for k in key)
+    return lhs, x + y, u + w
+
+
+def _kannan_holds(ar: _Arith, sums: tuple, a: Fraction, b: Fraction) -> bool:
+    """Kannan's inequality lhs <= a * (x + y) + b * (u + w) on its sums."""
+    lhs, xy, uw = sums
     if ar.exact:
         da, db = a.denominator, b.denominator
-        return ar.le(da * db * lhs, a.numerator * db * (x + y) + b.numerator * da * (u + w))
-    return ar.le(lhs, ar.scale(a, x + y) + ar.scale(b, u + w))
+        return ar.le(da * db * lhs, a.numerator * db * xy + b.numerator * da * uw)
+    return ar.le(lhs, ar.scale(a, xy) + ar.scale(b, uw))
+
+
+def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> bool:
+    """Kannan's inequality by its five levels, each sum's two ascending."""
+    return _kannan_holds(ar, _kannan_sums(levels, key), a, b)
 
 
 def _rational_bound(ar: _Arith, levels: tuple, key) -> bool:
@@ -164,14 +179,14 @@ def _rational_bound(ar: _Arith, levels: tuple, key) -> bool:
     return ar.le(lhs * (x_sy + y_tx), x_tx * x_sy + y_sy * y_tx)
 
 
-def _witness(space: DigitalMetricSpace, terms: Callable, holds) -> tuple[Point, Point] | None:
-    """The first pair of canonical positions (i, j), in lexicographic order
-    with the diagonal, whose level key terms(i, j) fails holds[key]; None
-    when every pair holds."""
-    pts = space.points
-    for i, j in itertools.product(range(len(pts)), repeat=2):
-        if not holds[terms(i, j)]:
-            return pts[i], pts[j]
+def _witness(space: DigitalMetricSpace, keys: dict, holds) -> tuple[Point, Point] | None:
+    """The least pair, in lexicographic order with the diagonal, whose
+    level key fails holds[key]: the first pair of the first failing key of
+    _keys, since a key's first pair comes before its others.  None when
+    every pair holds."""
+    for key, (i, j) in keys.items():
+        if not holds[key]:
+            return space.points[i], space.points[j]
     return None
 
 
@@ -185,8 +200,8 @@ def _dominates(key, other) -> bool:
     return base <= base_o and lhs[0] >= lhs_o[0] and lhs[1] >= lhs_o[1]
 
 
-def _constant(space: DigitalMetricSpace, terms: Callable) -> tuple:
-    """(constant, worst, no_finite) of keys terms(i, j) = (lhs key, base level).
+def _constant(space: DigitalMetricSpace, keys: dict) -> tuple:
+    """(constant, worst, no_finite) of the _keys (lhs key, base level).
 
     constant is the largest lhs / base over pairs with positive base (0
     when there are none) and worst the first pair reaching it; no_finite
@@ -196,12 +211,8 @@ def _constant(space: DigitalMetricSpace, terms: Callable) -> tuple:
     weighed, each once with its first pair; a zero lhs ties at 0, so the
     first key with one stands for them all.
     """
-    pts = space.points
-    first: dict = {}
-    for i, j in itertools.product(range(len(pts)), repeat=2):
-        first.setdefault(terms(i, j), (pts[i], pts[j]))
     front, zero, no_finite = [], None, False
-    for key in first:
+    for key in keys:
         if key[0] in (0, (0, 0)):
             if zero is None and key[1]:
                 zero = key
@@ -217,7 +228,7 @@ def _constant(space: DigitalMetricSpace, terms: Callable) -> tuple:
     for key in front:
         ratio = exact_div(_lhs(levels, key[0]), levels[key[1]])
         if best is None or ratio > best:
-            best, worst = ratio, first[key]
+            best, worst = ratio, tuple(space.points[k] for k in keys[key])
     constant = None if no_finite else (Fraction(0) if best is None else best)
     return constant, worst, no_finite
 
@@ -279,9 +290,9 @@ def _rational_terms(rank, n, v, x, y):
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
     k = _unit_fraction(k, "k")
-    terms = _keys(space, _contraction_terms, f)
-    constant = _constant(space, terms) if minimal else None
-    return _report(space, _witness(space, terms, _verdicts(space, _bound, k)), constant)
+    keys = _keys(space, _contraction_terms, f)
+    constant = _constant(space, keys) if minimal else None
+    return _report(space, _witness(space, keys, _verdicts(space, _bound, k)), constant)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
@@ -289,11 +300,20 @@ def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
     return _constant(space, _keys(space, _contraction_terms, f))[0]
 
 
-def _keys(space: DigitalMetricSpace, terms: Callable, *maps: SelfMap) -> Callable:
-    """(i, j) -> terms' level key on the table of one map, or of two (the
-    first map's positions, then the second's)."""
-    table = sum((_positions(space, f) for f in maps), ())
-    return partial(terms, space.rank, *(len(space),) * (len(maps) - 1), table)
+def _keys(space: DigitalMetricSpace, terms: Callable, *maps: SelfMap) -> dict:
+    """terms' distinct level keys on the table of one map, or of two (the
+    first map's positions, then the second's), each with its first pair
+    (i, j), in lexicographic pair order with the diagonal.  One map keeps
+    its table, by space and terms, for its next check."""
+    memo = maps[0].key_tables if len(maps) == 1 else {}
+    keys = memo.get((space, terms))
+    if keys is None:
+        table = sum((_positions(space, f) for f in maps), ())
+        key = partial(terms, space.rank, *(len(space),) * (len(maps) - 1), table)
+        keys = memo[space, terms] = {}
+        for i, j in itertools.product(range(len(space)), repeat=2):
+            keys.setdefault(key(i, j), (i, j))
+    return keys
 
 
 def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport:
@@ -309,24 +329,24 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     da, db = a.denominator, b.denominator
     if 2 * (a.numerator * db + b.numerator * da) >= da * db:
         raise ValueError(f"need a + b < 1/2, got {a + b}")
-    terms = _keys(space, _kannan_terms, t)
-    return _report(space, _witness(space, terms, _verdicts(space, _kannan_bound, a, b)))
+    keys = _keys(space, _kannan_terms, t)
+    return _report(space, _witness(space, keys, _verdicts(space, _kannan_bound, a, b)))
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
     r = _unit_fraction(r, "r")
-    terms = _keys(space, _quasi_terms, t)
-    constant = _constant(space, terms) if minimal else None
-    return _report(space, _witness(space, terms, _verdicts(space, _bound, r)), constant)
+    keys = _keys(space, _quasi_terms, t)
+    constant = _constant(space, keys) if minimal else None
+    return _report(space, _witness(space, keys, _verdicts(space, _bound, r)), constant)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
     r = _unit_fraction(r, "r")
-    terms = _keys(space, _ciric5_terms, t)
-    constant = _constant(space, terms) if minimal else None
-    return _report(space, _witness(space, terms, _verdicts(space, _bound, r)), constant)
+    keys = _keys(space, _ciric5_terms, t)
+    constant = _constant(space, keys) if minimal else None
+    return _report(space, _witness(space, keys, _verdicts(space, _bound, r)), constant)
 
 
 def check_pair_domination(
@@ -334,9 +354,9 @@ def check_pair_domination(
 ) -> PairDominationReport:
     """d(Hx, Hy) <= rho * d(Gx, Gy) for all pairs, plus H(X) subset of G(X)."""
     rho = _unit_fraction(rho, "rho")
-    terms = _keys(space, _domination_terms, g, h)
-    constant = _constant(space, terms) if minimal else None
-    report = _report(space, _witness(space, terms, _verdicts(space, _bound, rho)), constant)
+    keys = _keys(space, _domination_terms, g, h)
+    constant = _constant(space, keys) if minimal else None
+    report = _report(space, _witness(space, keys, _verdicts(space, _bound, rho)), constant)
     return PairDominationReport(report, h.image_set <= g.image_set)
 
 
@@ -350,17 +370,19 @@ def check_saluja(
     states each map's constancy.
     """
     xi = _unit_fraction(xi, "xi")
-    terms = _keys(space, _saluja_terms, j, k)
-    constant = _constant(space, terms) if minimal else None
-    report = _report(space, _witness(space, terms, _verdicts(space, _bound, xi)), constant)
+    keys = _keys(space, _saluja_terms, j, k)
+    constant = _constant(space, keys) if minimal else None
+    report = _report(space, _witness(space, keys, _verdicts(space, _bound, xi)), constant)
     return ConstancyReport(report, j.is_constant, k.is_constant)
 
 
 def _rational_holds(space: DigitalMetricSpace, table) -> bool:
     """Whether the rational bound holds on every defined pair of a two-map
-    table of value positions."""
-    terms = partial(_rational_terms, space.rank, len(space), table)
-    return _witness(space, terms, _verdicts(space, _rational_bound)) is None
+    table of value positions.  Most tables fail, so it stops at the first
+    failing pair rather than build the table's keys."""
+    key = partial(_rational_terms, space.rank, len(space), table)
+    holds = _verdicts(space, _rational_bound)
+    return all(holds[key(i, j)] for i, j in itertools.product(range(len(space)), repeat=2))
 
 
 def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> ConditionReport:
@@ -374,14 +396,15 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     denominator is positive there), so no division is ever performed;
     it is decided once per five-level key in the space's memo.
     """
-    n, pts = len(space), space.points
-    terms = _keys(space, _rational_terms, t, s)
-    pairs = itertools.product(range(n), repeat=2)
-    witness = _witness(space, terms, _verdicts(space, _rational_bound))
+    pts, tv, sv = space.points, _positions(space, t), _positions(space, s)
+    keys = _keys(space, _rational_terms, t, s)
+    witness = _witness(space, keys, _verdicts(space, _rational_bound))
+    # Undefined where d(x, Sy) = d(y, Tx) = 0, that is Sy = x and Tx = y.
+    pairs = itertools.product(range(len(space)), repeat=2)
     return ConditionReport(
         holds=witness is None,
         witness=witness,
-        undefined_pairs=tuple((pts[x], pts[y]) for x, y in pairs if not any(terms(x, y)[1:3])),
+        undefined_pairs=tuple((pts[x], pts[y]) for x, y in pairs if sv[y] == x and tv[x] == y),
         exact=space.comparison_tolerance is None,
     )
 

@@ -274,6 +274,8 @@ def compare(a, b, tol: Fraction | None = None) -> int:
     (float or mpf), a tolerance must be supplied and differences within
     it count as equal.
     """
+    if type(a) is int and type(b) is int:  # the common case, decided first
+        return (a > b) - (a < b)
     if is_exact(a) and is_exact(b):
         if isinstance(a, RadicalSum):
             return a._cmp(b)

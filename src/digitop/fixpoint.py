@@ -114,8 +114,8 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
     the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
     """
     ar = _Arith(space)
-    terms = contracts._keys(space, contracts._contraction_terms, f)
-    constant = contracts._constant(space, terms)
+    keys = contracts._keys(space, contracts._contraction_terms, f)
+    constant = contracts._constant(space, keys)
     k_min, worst, _ = constant
     hypothesis = contracts._report(space, None if ar.below_one(k_min) else worst, constant)
     d = space.index_distance

@@ -432,29 +432,37 @@ def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
 
 
 class _GridVerdicts(dict):
-    """A level key's verdicts under every coefficient tuple of a grid, as a
-    bitmask: bit c is the space's memo under grid[c], which it fills."""
+    """Kannan's verdicts on a level key under every (a, b) of a grid, as a
+    bitmask: bit c is the verdict under grid[c], which it also stores in
+    the space's memo for that tuple, so check_kannan finds it decided.
+    The key's three sums are built once for the whole grid."""
 
-    def __init__(self, memos: list):
+    def __init__(self, space: DigitalMetricSpace, grid):
         super().__init__()
-        self.memos = memos
+        self.memos = [contracts._verdicts(space, contracts._kannan_bound, *ab) for ab in grid]
+        self.ar, self.levels = contracts._Arith(space), space.levels
 
     def __missing__(self, key):
-        mask = self[key] = sum(memo[key] << c for c, memo in enumerate(self.memos))
+        sums, mask = contracts._kannan_sums(self.levels, key), 0
+        for c, memo in enumerate(self.memos):
+            verdict = memo[key] = contracts._kannan_holds(self.ar, sums, *memo.coeffs)
+            mask |= verdict << c
+        self[key] = mask
         return mask
 
 
-def _theorem_sweep(name: str, spaces, grid, terms, rule, verify: Callable) -> SuiteEntry:
+def _theorem_sweep(name: str, spaces, grid, terms, verdicts, verify: Callable) -> SuiteEntry:
     """Tally verify(space, f, *coeffs) over every self-map f of each space,
-    for each coefficient tuple of grid.  One enumeration per space keeps the
-    maps whose every pair holds under rule (by its level key, terms) for
-    some tuple; each leaf is verified, as one SelfMap, under the tuples that
-    hold on all its pairs, in grid order.  Every (table, tuple) left out
-    fails the hypothesis."""
+    for each coefficient tuple of grid.  verdicts(space) is the space's
+    memo of masks by level key (terms): bit c holds under grid[c].
+    One enumeration per space keeps the maps whose every pair holds for
+    some tuple; each leaf is verified, as one SelfMap, under the tuples
+    that hold on all its pairs, in grid order.  Every (table, tuple) left
+    out fails the hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
     for space in spaces:
         n, rank = len(space), space.rank
-        holds = _GridVerdicts([contracts._verdicts(space, rule, *coeffs) for coeffs in grid])
+        holds = verdicts(space)
         verified = 0
         for t in _sweep(space, 1, terms, holds):
             mask = (1 << len(grid)) - 1
@@ -472,8 +480,10 @@ def _theorem_sweep(name: str, spaces, grid, terms, rule, verify: Callable) -> Su
 
 
 def _suite_contraction(spaces) -> SuiteEntry:
+    # The grid is one empty tuple, so the memo's bools are one-bit masks.
     name, terms = "contraction-theorem-exhaustive", contracts._contraction_terms
-    return _theorem_sweep(name, spaces, [()], terms, _strictly_below, fixpoint.banach_verify)
+    verdicts = functools.partial(contracts._verdicts, rule=_strictly_below)
+    return _theorem_sweep(name, spaces, [()], terms, verdicts, fixpoint.banach_verify)
 
 
 _EIGHTHS = tuple(Fraction(i, 8) for i in range(4))
@@ -481,8 +491,9 @@ _KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fract
 
 
 def _suite_two_coefficient(spaces, grid=_KANNAN_GRID) -> SuiteEntry:
-    name, rule = "two-coefficient-theorem-exhaustive", contracts._kannan_bound
-    return _theorem_sweep(name, spaces, grid, contracts._kannan_terms, rule, fixpoint.kannan_verify)
+    name, terms = "two-coefficient-theorem-exhaustive", contracts._kannan_terms
+    verdicts = functools.partial(_GridVerdicts, grid=grid)
+    return _theorem_sweep(name, spaces, grid, terms, verdicts, fixpoint.kannan_verify)
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from digitop import contracts
 from digitop.contracts import (
     ConditionReport,
     check_banach,
@@ -31,7 +32,7 @@ from digitop.contracts import (
 )
 from digitop.mapkit import SelfMap, enumerate_selfmaps
 from digitop.metric import L1, L2, DigitalMetricSpace, Lp
-from digitop.space import C2, DigitalImage, digital_interval
+from digitop.space import C1, C2, DigitalImage, digital_interval
 
 HALF = Fraction(1, 2)
 
@@ -437,3 +438,47 @@ def test_verdicts_invariant_under_reflection(mapping):
         check_kannan(S3, f, Fraction(1, 5), Fraction(1, 5)).holds
         == check_kannan(S3, g, Fraction(1, 5), Fraction(1, 5)).holds
     )
+
+
+# -- key tables ------------------------------------------------------
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Count the calls of contracts.<name> into the returned list."""
+    calls, original = [], getattr(contracts, name)
+    monkeypatch.setattr(contracts, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_a_map_keeps_one_key_table_per_space_and_condition():
+    """One SelfMap checked on two spaces of its image, l1 then l2, under two
+    conditions, Kannan's then the three-term max, gets the report a fresh
+    map on a fresh space gets each time.  On the 3x3 grid the two metrics
+    rank distances differently, so a table kept by the map alone would
+    answer the second space with the first one's levels."""
+    img = DigitalImage([(i, j) for i in range(3) for j in range(3)], C1)
+    values = ((2, 2), (2, 0), (1, 2), (2, 2), (2, 0), (1, 0), (1, 2), (0, 0), (1, 1))
+    shared, spaces = SelfMap(img, values), [DigitalMetricSpace(img, m) for m in (L1, L2)]
+    reports = {}
+    for check, coeffs in ((check_kannan, (Fraction(3, 8), 0)), (check_quasi, (Fraction(3, 4),))):
+        for sp in spaces:
+            fresh = check(DigitalMetricSpace(img, sp.metric), SelfMap(img, values), *coeffs)
+            reports[check, sp.metric] = check(sp, shared, *coeffs)
+            assert reports[check, sp.metric] == fresh, (check.__name__, sp)
+    assert reports[check_kannan, L1].witness != reports[check_kannan, L2].witness
+    assert reports[check_quasi, L1].minimal_constant != reports[check_quasi, L2].minimal_constant
+    # The map built each table once; another coefficient reads it again.
+    table = contracts._keys(spaces[0], contracts._kannan_terms, shared)
+    assert check_kannan(spaces[0], shared, 0, 0).holds is False
+    assert len(shared.key_tables) == 4
+    assert contracts._keys(spaces[0], contracts._kannan_terms, shared) is table
+
+
+def test_the_rational_test_stops_at_the_first_failing_pair(monkeypatch):
+    """The rational search asks _rational_holds of every table, and most
+    tables fail it: one failing at (0, 0) asks for one key, not n^2.
+    With T0 = 2 and S0 = 0 on [0,2]_Z, at (0, 0):
+    d(T0,S0) * [d(0,S0) + d(0,T0)] = 2 * 2 > d(0,T0)d(0,S0) + d(0,S0)d(0,T0) = 0."""
+    calls = counting(monkeypatch, "_rational_terms")
+    assert not contracts._rational_holds(space(3), (2, 0, 0) + (0, 0, 0))
+    assert len(calls) == 1

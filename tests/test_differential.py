@@ -8,8 +8,10 @@ ratio, decided by ``exact.compare`` in the exact regimes and by plain
 ``>`` on mpf values in the general l_p regime, with an int/int ratio
 kept as a Fraction.
 
-Inputs: every pair of the 27 self-maps of [0,2]_Z for the two-map
-conditions, every one of the 256 self-maps of the 2x2 c_1 grid for the
+Inputs: every self-map of every image of small_connected_images(4),
+with each map paired with itself and with its mirror in enumeration
+order for the two-map conditions; every pair of the 27 self-maps of
+[0,2]_Z for the two-map conditions, every one of the 256 self-maps of the 2x2 c_1 grid for the
 single-map conditions, under l_1, l_2, shortest path and l_3.  Those
 spaces have at most 4 levels, so a minimal constant weighs almost every
 key there; the 3x3 grid under c_1 and c_2 and the 9-point interval,
@@ -40,7 +42,7 @@ from digitop import exact
 from digitop.fixpoint import banach_verify
 from digitop.mapkit import SelfMap, enumerate_selfmaps
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
-from digitop.search import enumerate_map_pairs
+from digitop.search import enumerate_map_pairs, small_connected_images
 from digitop.space import C1, C2, DigitalImage, digital_interval
 
 METRICS = (L1, L2, SHORTEST_PATH, Lp(3))
@@ -181,6 +183,22 @@ def test_single_map_checkers_match_the_reference(space):
     d = distances(space)
     for f in enumerate_selfmaps(space.image):
         assert_single_map_checkers(space, d, f)
+
+
+@pytest.mark.parametrize(
+    "space", [sp for img in small_connected_images(4) for sp in spaces(img)], ids=str
+)
+def test_every_checker_matches_the_pair_scan_on_every_small_map(space):
+    """Each report reads the map's distinct level keys, each with its first
+    pair, not every pair: it must still name the least failing pair and
+    the first pair reaching the minimal constant."""
+    d = distances(space)
+    maps = list(enumerate_selfmaps(space.image))
+    for f in maps:
+        assert_single_map_checkers(space, d, f)
+    for g, h in zip(maps, maps[::-1]):
+        assert_map_pair_checkers(space, d, g, h)
+        assert_map_pair_checkers(space, d, g, g)
 
 
 def assert_map_pair_checkers(space, d, g, h):

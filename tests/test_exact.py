@@ -5,6 +5,7 @@ and friends) plus randomized cross-checks against floats at gaps where
 doubles are trustworthy.
 """
 
+import enum
 import operator
 from fractions import Fraction
 
@@ -251,6 +252,36 @@ def test_compare_inexact_requires_tolerance():
     tol = Fraction(1, 10**9)
     assert compare(0.5, Fraction(1, 2), tol) == 0
     assert compare(0.5 + 1e-6, Fraction(1, 2), tol) == 1
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [(0, 0, 0), (1, 2, -1), (2, 1, 1), (-3, 3, -1), (10**40, 10**40 - 1, 1), (-5, -5, 0)],
+)
+def test_compare_decides_plain_ints(a, b, expected):
+    assert compare(a, b) == expected
+    assert compare(a, b, Fraction(1, 10**9)) == expected  # the tolerance is not used
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def test_compare_of_bools_and_int_subclasses_is_unchanged():
+    # Bools are not distances: without a tolerance they still raise, and
+    # with one they are compared as floats, within it.
+    with pytest.raises(ValueError, match="tolerance"):
+        compare(True, 1)
+    with pytest.raises(ValueError, match="tolerance"):
+        compare(2, False)
+    assert compare(True, 1, Fraction(1, 10**9)) == 0
+    assert compare(False, 1, Fraction(1, 10**9)) == -1
+    # An int subclass other than bool is exact, and orders as its value.
+    assert compare(Level.HIGH, 1) == 1
+    assert compare(1, Level.LOW) == 0
+    assert compare(Level.LOW, Fraction(3, 2)) == -1
+    assert compare(Level.HIGH, SQRT2) == 1
 
 
 def test_exact_le_lt():

@@ -6,8 +6,9 @@ failure.  The loops below are the earlier ones: every self-map (or pair)
 from the product enumerators goes through the verifier.  Whole suite
 entries must agree, on more spaces and coefficients than the suite uses.
 Work counts pin that the suite verifies only hypothesis-true maps,
-enumerates each space once for a whole coefficient grid, and builds each
-verified map, and runs its orbits, once per space.
+enumerates each space once for a whole coefficient grid, decides each
+Kannan key once for the whole grid, and builds each verified map, its
+orbits and its level keys once per space.
 """
 
 from collections import Counter
@@ -171,6 +172,7 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         (search.fixpoint, "banach_verify"),
         (search.contracts, "check_saluja"),
         (search.contracts, "_kannan_terms"),
+        (search.contracts, "_kannan_sums"),
         (search, "enumerate_tables"),
         (mapkit, "_iterate"),
         (SelfMap, "__post_init__"),
@@ -204,12 +206,19 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     assert calls["_iterate"] == 198
     # One enumeration per space for the whole coefficient grid: one per
     # space and tuple made 6 + 60, and 6,996 two-coefficient level keys.
-    # The key count is exact because each leaf reads all n^2 of its pairs.
     assert per_sweep == {
         "contraction-theorem-exhaustive": (6, 6),
         "two-coefficient-theorem-exhaustive": (6, 6),
     }
-    assert calls["_kannan_terms"] == 4140
+    # The key count is exact because each leaf reads all n^2 of its pairs:
+    # 834 from the sweep, and 465 from check_kannan, which builds each of
+    # the 33 verified maps' keys once (9 of 3 points, 24 of 4) where it
+    # built them on each of the 246 calls (4,140 in all).
+    assert calls["_kannan_terms"] == 1299
+    # Each of the pass's 174 distinct Kannan keys has its three sums built
+    # once, for the whole grid, and check_kannan decides none itself:
+    # deciding each key under each of the ten tuples built them 1,740 times.
+    assert calls["_kannan_sums"] == 174
 
 
 @pytest.mark.parametrize("metric", [L1, L2, Lp(3), SHORTEST_PATH], ids=str)
