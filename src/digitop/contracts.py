@@ -148,25 +148,21 @@ def _bound(ar: _Arith, levels: tuple, key, coeff: Fraction) -> bool:
     return ar.le(lhs, ar.scale(coeff, base))
 
 
-def _kannan_sums(levels: tuple, key) -> tuple:
-    """Kannan's three sums by its five levels: lhs, x + y and u + w.  No
-    coefficient changes them, so a grid of (a, b) builds them once."""
+def _kannan(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
+    """Kannan's inequality lhs <= a * (x + y) + b * (u + w) by its five
+    levels, each sum's two ascending, under every (a, b) of grid: bit c
+    of the mask is the verdict under grid[c].  No coefficient changes the
+    three sums, so they are built once for the whole grid."""
     lhs, x, y, u, w = (levels[k] for k in key)
-    return lhs, x + y, u + w
-
-
-def _kannan_holds(ar: _Arith, sums: tuple, a: Fraction, b: Fraction) -> bool:
-    """Kannan's inequality lhs <= a * (x + y) + b * (u + w) on its sums."""
-    lhs, xy, uw = sums
-    if ar.exact:
-        da, db = a.denominator, b.denominator
-        return ar.le(da * db * lhs, a.numerator * db * xy + b.numerator * da * uw)
-    return ar.le(lhs, ar.scale(a, xy) + ar.scale(b, uw))
-
-
-def _kannan_bound(ar: _Arith, levels: tuple, key, a: Fraction, b: Fraction) -> bool:
-    """Kannan's inequality by its five levels, each sum's two ascending."""
-    return _kannan_holds(ar, _kannan_sums(levels, key), a, b)
+    xy, uw, mask = x + y, u + w, 0
+    for c, (a, b) in enumerate(grid):
+        if ar.exact:
+            da, db = a.denominator, b.denominator
+            holds = ar.le(da * db * lhs, a.numerator * db * xy + b.numerator * da * uw)
+        else:
+            holds = ar.le(lhs, ar.scale(a, xy) + ar.scale(b, uw))
+        mask |= holds << c
+    return mask
 
 
 def _rational_bound(ar: _Arith, levels: tuple, key) -> bool:
@@ -330,7 +326,7 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     if 2 * (a.numerator * db + b.numerator * da) >= da * db:
         raise ValueError(f"need a + b < 1/2, got {a + b}")
     keys = _keys(space, _kannan_terms, t)
-    return _report(space, _witness(space, keys, _verdicts(space, _kannan_bound, a, b)))
+    return _report(space, _witness(space, keys, _verdicts(space, _kannan, ((a, b),))))
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:

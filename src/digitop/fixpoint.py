@@ -1,10 +1,11 @@
 """Iteration engine: Picard runs, contraction theorem verifiers, the
 alternating two-map scheme, and the stability verdict.
 
-The two theorem verifiers confirm their conclusions by brute force
-(full fixed-point scan plus an orbit from every start) and additionally
-re-check the analytic descent inequalities along each orbit, so a
-passing report carries two independent confirmations.
+The two theorem verifiers confirm their conclusions by brute force: a
+full fixed-point scan, and the Picard orbit from every start, each of
+which must settle at the unique fixed point.  Along each orbit they also
+re-check the proof's descent inequality, so a passing report holds both
+the conclusion and the estimate the proof derives it from.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from . import contracts
 from .contracts import ConditionReport, _Arith, _positions, check_kannan
-from .mapkit import EVENTUALLY_CONSTANT, OrbitReport, SelfMap, _iterate, fixed_points, orbit
+from .mapkit import EVENTUALLY_CONSTANT, OrbitReport, SelfMap, _iterate, fixed_points
 from .metric import DigitalMetricSpace
 from .space import Point, as_point, fmt_point
 
@@ -143,7 +144,14 @@ def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
     proof's estimate d(x_n, x_{n+1}) <= A^n * d(x_0, x_1) termwise; with
     A = p/q, exact regimes decide it as q^n * d(x_n, x_{n+1}) <= p^n * d(x_0, x_1).
     """
-    hypothesis = check_kannan(space, t, a, b)  # refuses a + b >= 1/2, so A is defined
+    return _kannan_conclusion(space, t, check_kannan(space, t, a, b), a, b)
+
+
+def _kannan_conclusion(
+    space: DigitalMetricSpace, t: SelfMap, hypothesis: ConditionReport, a, b
+) -> TheoremReport:
+    """kannan_verify's conclusion from its hypothesis report.  Only an
+    admitted (a, b), with a + b < 1/2, reaches it, so A is defined."""
     ar, d = _Arith(space), space.index_distance
     big_a = kannan_descent_constant(a, b)
     p, q = big_a.numerator, big_a.denominator
@@ -184,8 +192,5 @@ def t_stability_verdict(space: DigitalMetricSpace, t: SelfMap, p) -> StabilityVe
         raise ValueError(f"{fmt_point(p)} is not a point of the space")
     if v[index[p]] != index[p]:
         raise ValueError(f"{fmt_point(p)} is not a fixed point")
-    for start in space.image.points:
-        rep = orbit(t, start)
-        if not _settles_at(rep, p):
-            return StabilityVerdict(p, False, rep)
-    return StabilityVerdict(p, True)
+    deviating = next((rep for rep in t.picard_orbits[0] if not _settles_at(rep, p)), None)
+    return StabilityVerdict(p, deviating is None, deviating)

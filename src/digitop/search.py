@@ -6,8 +6,10 @@ to a conclusion predicate on the maps' value positions.  A search scans a
 fixed, deterministic universe — digital intervals and small rectangular
 grids, under the taxicab, Euclidean, and word metrics — and either
 returns the first hypothesis-true/conclusion-false witness or an
-exhaustion certificate.  Witnesses replay: SearchOutcome.verify()
-re-runs both predicates from scratch.
+exhaustion certificate.  SearchOutcome.verify() replays a witness: it
+runs the public checker and the conclusion on the witness's SelfMaps,
+not the narrowing that found them, but on the search's own space, so
+the level keys and the verdict memo the search filled are read again.
 """
 
 from __future__ import annotations
@@ -245,7 +247,9 @@ class SearchOutcome:
             raise ValueError("a counterexample must carry its witness maps")
 
     def verify(self) -> bool:
-        """Replay the witness from scratch; exhaustions verify trivially."""
+        """Replay the witness: the assertion's checker and conclusion on its
+        maps, on the search's own space and so through the same level keys
+        and verdict memo.  Exhaustions verify trivially."""
         if self.status != COUNTEREXAMPLE:
             return True
         spec = ASSERTIONS[self.assertion]
@@ -431,26 +435,6 @@ def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
     return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
 
 
-class _GridVerdicts(dict):
-    """Kannan's verdicts on a level key under every (a, b) of a grid, as a
-    bitmask: bit c is the verdict under grid[c], which it also stores in
-    the space's memo for that tuple, so check_kannan finds it decided.
-    The key's three sums are built once for the whole grid."""
-
-    def __init__(self, space: DigitalMetricSpace, grid):
-        super().__init__()
-        self.memos = [contracts._verdicts(space, contracts._kannan_bound, *ab) for ab in grid]
-        self.ar, self.levels = contracts._Arith(space), space.levels
-
-    def __missing__(self, key):
-        sums, mask = contracts._kannan_sums(self.levels, key), 0
-        for c, memo in enumerate(self.memos):
-            verdict = memo[key] = contracts._kannan_holds(self.ar, sums, *memo.coeffs)
-            mask |= verdict << c
-        self[key] = mask
-        return mask
-
-
 def _theorem_sweep(name: str, spaces, grid, terms, verdicts, verify: Callable) -> SuiteEntry:
     """Tally verify(space, f, *coeffs) over every self-map f of each space,
     for each coefficient tuple of grid.  verdicts(space) is the space's
@@ -492,8 +476,15 @@ _KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fract
 
 def _suite_two_coefficient(spaces, grid=_KANNAN_GRID) -> SuiteEntry:
     name, terms = "two-coefficient-theorem-exhaustive", contracts._kannan_terms
-    verdicts = functools.partial(_GridVerdicts, grid=grid)
-    return _theorem_sweep(name, spaces, grid, terms, verdicts, fixpoint.kannan_verify)
+
+    def verdicts(space):
+        return contracts._verdicts(space, contracts._kannan, grid)
+
+    def verify(space, t, a, b):
+        # The mask decided the hypothesis: check_kannan's report, had it run.
+        return fixpoint._kannan_conclusion(space, t, contracts._report(space, None), a, b)
+
+    return _theorem_sweep(name, spaces, grid, terms, verdicts, verify)
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:

@@ -151,7 +151,7 @@ def test_the_contraction_narrowing_leaves_exactly_the_hypothesis_true_maps(space
 def test_the_kannan_narrowing_leaves_exactly_the_hypothesis_true_maps(space, a, b, swept):
     tables, maps = self_maps(space)
     wanted = [t for t, f in zip(tables, maps) if contracts.check_kannan(space, f, a, b).holds]
-    holds = contracts._verdicts(space, contracts._kannan_bound, a, b)
+    holds = contracts._verdicts(space, contracts._kannan, ((a, b),))
     assert swept(space, 1, contracts._kannan_terms, holds) == wanted
 
 

@@ -5,8 +5,8 @@ Kannan's bound and the descent estimate with all denominators cleared.
 Each is compared here with the direct form, the coefficient a Fraction
 multiplying the distance, on every level key of each space; the tolerance
 regimes (l_3, l_{3/2}) keep the mpf scaling, compared with it as written
-below.  The suite's grid verdicts, Kannan's bound decided on one key for
-a whole grid of (a, b), are compared with the bound tuple by tuple.
+below.  Kannan's bound decided on one key for a whole grid of (a, b), as
+the suite's sweep asks for it, is compared with the bound tuple by tuple.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import mpmath
 import pytest
 
 from digitop import contracts, fixpoint, search
-from digitop.contracts import ConditionReport, _Arith, _bound, _kannan_bound
+from digitop.contracts import ConditionReport, _Arith, _bound, _kannan
 from digitop.exact import compare
 from digitop.mapkit import EVENTUALLY_CONSTANT, enumerate_selfmaps, fixed_points
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
@@ -77,14 +77,14 @@ def test_kannan_verdicts_match_fraction_scaling(space):
         rhs = term[a, xy] + term[b, uw]
         for lhs in ranks:
             expected = at_most(space, levels[lhs], rhs)
-            assert _kannan_bound(ar, levels, (lhs, *xy, *uw), a, b) == expected, (a, b, lhs)
+            assert _kannan(ar, levels, (lhs, *xy, *uw), ((a, b),)) == expected, (a, b, lhs)
 
 
 GRID_IMAGES = [digital_interval(0, 4), GRID3, DigitalImage(GRID3.points, C2)]
 GRID_METRICS = [L1, L2, SHORTEST_PATH, Lp(3), Lp(Fraction(3, 2))]
 GRIDS = {
     "suite": search._KANNAN_GRID,
-    # Out of order, with a repeat: both copies of a tuple fill one memo.
+    # Out of order, with a repeat: both copies of a tuple get the same bit.
     "shuffled": tuple(
         (Fraction(a), Fraction(b))
         for a, b in (("1/4", "1/8"), ("0", "49/100"), ("1/8", "1/8"), ("9/20", "0"), ("1/8", "1/8"))
@@ -111,25 +111,20 @@ def kannan_keys(space) -> list:
     ids=[str(DigitalMetricSpace(i, m)) for i, m in itertools.product(GRID_IMAGES, GRID_METRICS)],
 )
 def test_grid_verdicts_match_the_bound_under_each_tuple(img, metric, grid):
-    """Every Kannan key of the space, decided for the whole grid at once:
-    bit c of its mask is _kannan_bound under grid[c] and the direct
-    scaling, and the per-tuple memos it fills hold the same verdicts, on
-    exactly the keys asked."""
+    """Every Kannan key of the space, decided for the whole grid at once
+    through the space's memo: bit c of its mask is the direct scaling
+    under grid[c], and the verdict check_kannan's one-tuple grid gives."""
     space = DigitalMetricSpace(img, metric)  # fresh: no memo from elsewhere
-    levels, ar, keys = space.levels, _Arith(space), kannan_keys(space)
-    masks = search._GridVerdicts(space, grid)
-    rule = {(key, ab): _kannan_bound(ar, levels, key, *ab) for key in keys for ab in grid}
-    for key in keys:
+    levels, ar = space.levels, _Arith(space)
+    masks = contracts._verdicts(space, _kannan, grid)
+    for key in kannan_keys(space):
         lhs, x, y, u, w = (levels[k] for k in key)
         rhs = [scaled(space, a, x + y) + scaled(space, b, u + w) for a, b in grid]
         direct = [at_most(space, lhs, r) for r in rhs]
         mask = masks[key]
-        assert [mask >> c & 1 for c in range(len(grid))] == [rule[key, ab] for ab in grid], key
-        assert [rule[key, ab] for ab in grid] == direct, key
+        assert [mask >> c & 1 for c in range(len(grid))] == direct, key
+        assert [_kannan(ar, levels, key, (ab,)) for ab in grid] == direct, key
         assert mask >> len(grid) == 0
-    for ab in grid:
-        memo = contracts._verdicts(space, _kannan_bound, *ab)
-        assert memo == {key: rule[key, ab] for key in keys}, ab
 
 
 def test_the_descent_constant_matches_fraction_arithmetic():

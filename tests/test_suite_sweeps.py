@@ -7,8 +7,10 @@ from the product enumerators goes through the verifier.  Whole suite
 entries must agree, on more spaces and coefficients than the suite uses.
 Work counts pin that the suite verifies only hypothesis-true maps,
 enumerates each space once for a whole coefficient grid, decides each
-Kannan key once for the whole grid, and builds each verified map, its
-orbits and its level keys once per space.
+Kannan key once for the whole grid, hands each hypothesis-true (map,
+tuple) straight to the conclusion step, and builds each verified map and
+its orbits once per space.  Each report so tallied is the one
+kannan_verify gives on a fresh space and map.
 """
 
 from collections import Counter
@@ -130,11 +132,32 @@ def test_the_contraction_sweep_matches_the_product_loop(img, metric):
 def test_the_two_coefficient_sweep_matches_the_product_loop(img, metric, grid, monkeypatch):
     looped = two_coefficient_loop(fresh(img, metric), grid)
     calls = Counter()
-    verify = counting(calls, "kannan_verify", fixpoint.kannan_verify)
-    monkeypatch.setattr(fixpoint, "kannan_verify", verify)
+    for name in ("kannan_verify", "_kannan_conclusion"):
+        monkeypatch.setattr(fixpoint, name, counting(calls, name, getattr(fixpoint, name)))
     assert _suite_two_coefficient(fresh(img, metric), grid) == looped
-    # Only the hypothesis-true (map, tuple) instances are verified.
-    assert calls["kannan_verify"] == looped.evidence["confirmed"] + looped.evidence["refuted"]
+    # Only the hypothesis-true (map, tuple) instances reach the conclusion
+    # step, and none is decided again by kannan_verify.
+    hits = looped.evidence["confirmed"] + looped.evidence["refuted"]
+    assert calls == Counter(_kannan_conclusion=hits)
+
+
+@pytest.mark.parametrize("grid", KANNAN_GRIDS.values(), ids=KANNAN_GRIDS.keys())
+@pytest.mark.parametrize("img, metric", KANNAN_CASES, ids=KANNAN_IDS)
+def test_each_tallied_report_is_kannan_verify_on_a_fresh_space(img, metric, grid, monkeypatch):
+    tallied, conclusion = [], fixpoint._kannan_conclusion
+
+    def recording(space, t, hypothesis, a, b):
+        report = conclusion(space, t, hypothesis, a, b)
+        tallied.append((t.values, a, b, report))
+        return report
+
+    monkeypatch.setattr(fixpoint, "_kannan_conclusion", recording)
+    entry = _suite_two_coefficient(fresh(img, metric), grid)
+    monkeypatch.undo()
+    assert len(tallied) == entry.evidence["confirmed"] + entry.evidence["refuted"]
+    for values, a, b, report in tallied:
+        space = DigitalMetricSpace(img, metric)
+        assert report == fixpoint.kannan_verify(space, SelfMap(img, values), a, b), (values, a, b)
 
 
 # The loop takes about a second per coefficient for the 65,536 pairs of a
@@ -171,8 +194,9 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         (search.fixpoint, "kannan_verify"),
         (search.fixpoint, "banach_verify"),
         (search.contracts, "check_saluja"),
+        (search.fixpoint, "_kannan_conclusion"),
         (search.contracts, "_kannan_terms"),
-        (search.contracts, "_kannan_sums"),
+        (search.contracts, "_kannan"),
         (search, "enumerate_tables"),
         (mapkit, "_iterate"),
         (SelfMap, "__post_init__"),
@@ -190,8 +214,11 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     report = verify_paper_suite()
     assert report.passed
     evidence = {e.name: e.evidence for e in report.entries}
-    # The product loops made 8,490 kannan_verify and 849 banach_verify calls.
-    assert calls["kannan_verify"] == 246
+    # The product loops made 8,490 kannan_verify and 849 banach_verify
+    # calls.  The sweep's masks decide the two-coefficient hypotheses, so
+    # only the conclusion step runs, once per hypothesis-true (map, tuple).
+    assert calls["kannan_verify"] == 0
+    assert calls["_kannan_conclusion"] == 246
     assert evidence["two-coefficient-theorem-exhaustive"]["confirmed"] == 246
     assert calls["banach_verify"] == 21
     assert evidence["contraction-theorem-exhaustive"]["confirmed"] == 21
@@ -211,14 +238,12 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         "two-coefficient-theorem-exhaustive": (6, 6),
     }
     # The key count is exact because each leaf reads all n^2 of its pairs:
-    # 834 from the sweep, and 465 from check_kannan, which builds each of
-    # the 33 verified maps' keys once (9 of 3 points, 24 of 4) where it
-    # built them on each of the 246 calls (4,140 in all).
-    assert calls["_kannan_terms"] == 1299
-    # Each of the pass's 174 distinct Kannan keys has its three sums built
-    # once, for the whole grid, and check_kannan decides none itself:
-    # deciding each key under each of the ten tuples built them 1,740 times.
-    assert calls["_kannan_sums"] == 174
+    # all 834 are the sweep's.  check_kannan, no longer called, added 465
+    # by building the 33 verified maps' keys once more.
+    assert calls["_kannan_terms"] == 834
+    # Each of the pass's 174 distinct Kannan keys is decided once, for the
+    # whole grid: deciding each under each of the ten tuples made 1,740.
+    assert calls["_kannan"] == 174
 
 
 @pytest.mark.parametrize("metric", [L1, L2, Lp(3), SHORTEST_PATH], ids=str)
