@@ -140,12 +140,19 @@ def _lhs(levels: tuple, key):
     return levels[key] if isinstance(key, int) else levels[key[0]] + levels[key[1]]
 
 
-def _bound(ar: _Arith, levels: tuple, key, coeff: Fraction) -> bool:
-    """lhs <= coeff * base, keyed by (lhs key, base level)."""
-    lhs, base = _lhs(levels, key[0]), levels[key[1]]
+def _bound(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
+    """lhs <= coeff * base, keyed by (lhs key, base level), under every
+    coeff of grid: bit c of the mask is the verdict under grid[c]."""
+    lhs, base, mask = _lhs(levels, key[0]), levels[key[1]], 0
     if ar.exact:
-        return ar.le(coeff.denominator * lhs, coeff.numerator * base)
-    return ar.le(lhs, ar.scale(coeff, base))
+        for c, coeff in enumerate(grid):
+            if ar.le(coeff.denominator * lhs, coeff.numerator * base):
+                mask |= 1 << c
+    else:
+        for c, coeff in enumerate(grid):
+            if ar.le(lhs, ar.scale(coeff, base)):
+                mask |= 1 << c
+    return mask
 
 
 def _kannan(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
@@ -288,7 +295,7 @@ def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True)
     k = _unit_fraction(k, "k")
     keys = _keys(space, _contraction_terms, f)
     constant = _constant(space, keys) if minimal else None
-    return _report(space, _witness(space, keys, _verdicts(space, _bound, k)), constant)
+    return _report(space, _witness(space, keys, _verdicts(space, _bound, (k,))), constant)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
@@ -334,7 +341,7 @@ def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) 
     r = _unit_fraction(r, "r")
     keys = _keys(space, _quasi_terms, t)
     constant = _constant(space, keys) if minimal else None
-    return _report(space, _witness(space, keys, _verdicts(space, _bound, r)), constant)
+    return _report(space, _witness(space, keys, _verdicts(space, _bound, (r,))), constant)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
@@ -342,7 +349,7 @@ def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True)
     r = _unit_fraction(r, "r")
     keys = _keys(space, _ciric5_terms, t)
     constant = _constant(space, keys) if minimal else None
-    return _report(space, _witness(space, keys, _verdicts(space, _bound, r)), constant)
+    return _report(space, _witness(space, keys, _verdicts(space, _bound, (r,))), constant)
 
 
 def check_pair_domination(
@@ -352,7 +359,7 @@ def check_pair_domination(
     rho = _unit_fraction(rho, "rho")
     keys = _keys(space, _domination_terms, g, h)
     constant = _constant(space, keys) if minimal else None
-    report = _report(space, _witness(space, keys, _verdicts(space, _bound, rho)), constant)
+    report = _report(space, _witness(space, keys, _verdicts(space, _bound, (rho,))), constant)
     return PairDominationReport(report, h.image_set <= g.image_set)
 
 
@@ -368,7 +375,7 @@ def check_saluja(
     xi = _unit_fraction(xi, "xi")
     keys = _keys(space, _saluja_terms, j, k)
     constant = _constant(space, keys) if minimal else None
-    report = _report(space, _witness(space, keys, _verdicts(space, _bound, xi)), constant)
+    report = _report(space, _witness(space, keys, _verdicts(space, _bound, (xi,))), constant)
     return ConstancyReport(report, j.is_constant, k.is_constant)
 
 

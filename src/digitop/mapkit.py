@@ -331,19 +331,82 @@ def enumerate_selfmaps(img: DigitalImage) -> Iterator[SelfMap]:
         yield SelfMap(img, values)
 
 
+class Lanes(list):
+    """Domains for enumerate_tables that carry count nested constraints
+    through one enumeration.  Each domain, and each mask of a narrowing row,
+    packs count lanes of width bits: lane c, bits c*width on, holds the
+    values entry k may take under the c-th constraint, each lane a subset of
+    the one before.  Only lane 0's values are tried.  A set of lanes holds
+    each one's lowest bit, so a set shifted left by v is value v in each of
+    its lanes, and a domain shifted right by v and ANDed with a set keeps
+    the lanes of the set that hold v.  As the lanes nest, the only sets met
+    are upto[m], lanes 0 to m - 1, which ascends with m: sets compare as
+    their sizes do.  While enumerate_tables runs, sets[-2] after each yield
+    is the set of the lanes that allow the table.  Plain domains are one
+    lane."""
+
+    full, upto = -1, (0, 1)  # lane 0's bits, and the sets of lanes, for one lane
+
+    def __init__(self, domains=(), width: int = 0, count: int = 1):
+        super().__init__(domains)
+        if count > 1:
+            self.full, self.upto = (1 << width) - 1, [0]
+            for _ in range(count):
+                self.upto.append(self.upto[-1] << width | 1)
+
+    def every(self, values: int) -> int:
+        """The same values in every lane."""
+        return values * self.upto[-1]
+
+    def size(self, lanes: int) -> int:
+        """The number of lanes in a set of them."""
+        return self.upto.index(lanes)
+
+    def holding(self) -> dict:
+        """The set of lanes each verdict holds in, by verdict, decided on
+        first use: bit c of a verdict is lane c's, and as the lanes nest, it
+        holds in those below its bit_length.  In one lane any nonzero
+        verdict holds."""
+        return _Holding(self.upto)
+
+
+class _Holding(dict):
+    """Lanes.holding's memo."""
+
+    def __init__(self, upto):
+        super().__init__()
+        self.upto = upto
+
+    def __missing__(self, verdict: int) -> int:
+        held = self[verdict] = self.upto[min(verdict.bit_length(), len(self.upto) - 1)]
+        return held
+
+
+_ONE_LANE = Lanes()  # the lanes of plain domains
+
+
 def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]]:
     """Int tables t with bit t[k] set in domains[k], depth first and lowest
     bit first (the order of itertools.product); one list, filled in place.
     Forward checking (Haralick & Elliott, Artif. Intell. 14, 1980): each
     (j, mask) of narrow(t, k), for a later j and reading no entry past k, is
     ANDed into j's domain below entry k, which is abandoned if one empties.
-    Each assignment is one node of ENUM_BUDGET; the one past it raises."""
-    last, left, table = len(domains) - 1, ENUM_BUDGET, [0] * len(domains)
+    Domains may be Lanes, which carry several nested constraints through
+    one enumeration.  Each assignment is one node of ENUM_BUDGET; the one
+    past it raises."""
+    lanes = domains if isinstance(domains, Lanes) else _ONE_LANE
+    last, left, table, full = len(domains) - 1, ENUM_BUDGET, [0] * len(domains), lanes.full
+    # sets[k]: the lanes that allow every entry up to k; sets[-1] all lanes.
+    sets = [lanes.upto[-1]] * (len(domains) + 1)
+    if lanes is domains:
+        domains.sets, domains = sets, list(domains)  # a plain list indexes faster than a subclass
     # The domains in force at each depth, and the values not yet tried there;
-    # a depth shares its parent's list until a row narrows it.
-    doms, untried, k = [domains] * len(domains), [domains[0]] * len(domains), 0
+    # a depth shares its parent's list until a row narrows it.  dk and up,
+    # kept on each step down, are the last depth's domain and sets[k - 1].
+    doms, untried, k = [domains] * len(domains), [domains[0] & full] * len(domains), 0
     if not all(domains[1:]):  # then no node goes below the first entry
         doms[0] = domains[:1] + [0] * last
+    dk, up = domains[0], sets[-1]
     while k >= 0:
         if not (bits := untried[k]):
             k -= 1
@@ -351,8 +414,9 @@ def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]
         untried[k] = bits & bits - 1
         if (left := left - 1) < 0:
             raise EnumerationBudgetError(f"enumeration budget of {ENUM_BUDGET} entries exceeded")
-        table[k] = (bits & -bits).bit_length() - 1
+        table[k] = v = (bits & -bits).bit_length() - 1
         if k == last:
+            sets[k] = dk >> v & up
             yield table
             continue
         dom = doms[k]
@@ -363,8 +427,10 @@ def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]
             if not dom[j]:
                 break
         else:
+            sets[k] = up = dom[k] >> v & sets[k - 1]
             k += 1
-            doms[k], untried[k] = dom, dom[k]
+            doms[k], dk = dom, dom[k]
+            untried[k] = dk & full
 
 
 class FppVerdict(NamedTuple):

@@ -8,8 +8,11 @@ grids, under the taxicab, Euclidean, and word metrics — and either
 returns the first hypothesis-true/conclusion-false witness or an
 exhaustion certificate.  SearchOutcome.verify() replays a witness: it
 runs the public checker and the conclusion on the witness's SelfMaps,
-not the narrowing that found them, but on the search's own space, so
-the level keys and the verdict memo the search filled are read again.
+not the narrowing that found them, but on the search's own space, so the
+space's levels are read again.  The checker decides its verdicts in the
+space's memo for its one parameter value, not in the memo for the whole
+grid that the search filled; only the rational form, which has no
+parameter, reads the memo its search filled.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from . import contracts, fixpoint, mapkit
 from .contracts import _ciric5_terms, _domination_terms, _quasi_terms, _saluja_terms
 from .mapkit import (
     EnumerationBudgetError,
+    Lanes,
     SelfMap,
     _check_budget,
     enumerate_selfmaps,
@@ -104,23 +108,23 @@ class _Assertion:
         return self.concludes(len(space), table)
 
 
-def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, within: bool):
+def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, within: bool, lanes: Lanes):
     """narrow(t, k) for enumerate_tables from a checker's level key by pair,
-    terms(rank, [n,] t, i, j), and a memo of its verdicts (a nonzero one
-    holds): each later entry j of the last map keeps the values for which
-    (k, j) holds (each condition is symmetric; (i, i) has lhs 0).  With
-    within, the second map's values lie among the first's.  Rows are kept
-    by (k, t[k]) until the first map changes."""
+    terms(rank, [n,] t, i, j), and a memo of its verdicts: each later entry
+    j of the last map keeps, in each of the domains' lanes, the values for
+    which (k, j) holds there (each condition is symmetric; (i, i) has lhs
+    0; Lanes.holding).  With within, the second map's values lie among the
+    first's.  Rows are kept by (k, t[k]) until the first map changes."""
     n, first = len(space), (arity - 1) * len(space)
     key = functools.partial(terms, space.rank, *(n,) * (arity - 1))
-    rows = {}
+    rows, full, held = {}, lanes.every((1 << n) - 1), lanes.holding()
 
     def narrow(t, k):
         if k == first - 1:  # the first map is complete: its rows go stale
             rows.clear()
             if within:
                 image = sum(1 << v for v in set(t[:first]))
-                return [(j, image) for j in range(first, len(t))]
+                return [(j, lanes.every(image)) for j in range(first, len(t))]
         if k < first:
             return ()
         row = rows.get(k * n + t[k])
@@ -131,9 +135,8 @@ def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, withi
                 mask = 0
                 for w in range(n):
                     s[j] = w
-                    if holds[key(s, q, j - first)]:
-                        mask |= 1 << w
-                if mask != (1 << n) - 1:  # a full mask narrows nothing
+                    mask |= held[holds[key(s, q, j - first)]] << w
+                if mask != full:  # a full mask narrows nothing
                     row.append((j, mask))
         return row
 
@@ -248,8 +251,9 @@ class SearchOutcome:
 
     def verify(self) -> bool:
         """Replay the witness: the assertion's checker and conclusion on its
-        maps, on the search's own space and so through the same level keys
-        and verdict memo.  Exhaustions verify trivially."""
+        maps, on the search's own space and so through the same levels, with
+        the checker's memo for the witness's one parameter value (not the
+        search's memo for the whole grid).  Exhaustions verify trivially."""
         if self.status != COUNTEREXAMPLE:
             return True
         spec = ASSERTIONS[self.assertion]
@@ -288,19 +292,37 @@ def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
     return tuple(SelfMap(img, tuple(values[a : a + n])) for a in range(0, len(values), n))
 
 
-def _sweep(space, arity: int, terms=None, holds=None, within=False, increasing=False):
+def _sweep(space, arity: int, terms=None, holds=None, within=False, increasing=False, lanes=None):
     """Each table of value positions of `arity` maps in product order, one
     list filled in place: all, or with terms those whose last map's pairs
-    hold (_narrow).  With increasing, each entry is pinned to its own
-    position, since a strictly increasing self-map of a finite interval is
-    the identity.  A budget error names the space."""
+    hold (_narrow) in some lane.  lanes, an empty mapkit.Lanes of n-bit
+    lanes, receives the domains, so that its sets give each table's lanes;
+    without it there is one lane.  With increasing, each entry is pinned to
+    its own position, since a strictly increasing self-map of a finite
+    interval is the identity.  A budget error names the space."""
     n = len(space)
-    domains = [1 << k % n if increasing else (1 << n) - 1 for k in range(arity * n)]
-    narrow = _narrow(space, arity, terms, holds, within) if terms else lambda t, k: ()
+    domains = Lanes() if lanes is None else lanes
+    if increasing:
+        domains += [domains.every(1 << k % n) for k in range(arity * n)]
+    else:
+        domains += [domains.every((1 << n) - 1)] * (arity * n)
+    narrow = _narrow(space, arity, terms, holds, within, domains) if terms else lambda t, k: ()
     try:
         yield from enumerate_tables(domains, narrow)
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(f"{space.describe()}: {err}") from None
+
+
+def _hits(lanes: Lanes, counts: dict, at) -> int:
+    """The hits at the grid positions whose lanes are at, from the count of
+    tables by their set of lanes."""
+    hits = 0
+    for held, k in counts.items():
+        m = lanes.size(held)
+        for c in at:
+            if c < m:
+                hits += k
+    return hits
 
 
 def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) -> SearchOutcome:
@@ -314,10 +336,19 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     nothing, decides its hypothesis per table, on the table itself.  Only
     a witness becomes SelfMaps.
 
-    Deterministic: the first witness in scan order is returned.  Raises
-    EnumerationBudgetError, naming the space, if one enumeration would
-    assign more than mapkit.ENUM_BUDGET entries, and ValueError for unknown
-    assertions, out-of-range parameters, or size_bound < 1.
+    One enumeration per space and metric serves the whole grid: a bound
+    lhs <= r * base holding under r holds under every larger r, so the
+    grid's values, loosest first, are nested lanes (mapkit.Lanes), and a
+    table's lanes give its hits at every grid position.  After a
+    conclusion-false table at position p only earlier positions stay live.
+    verify() replays a witness through the checker's memo for its one
+    value, not the grid memo the search filled.
+
+    Deterministic: the first witness in (space, grid position, table)
+    order is returned.  Raises EnumerationBudgetError, naming the space,
+    if one enumeration would assign more than mapkit.ENUM_BUDGET entries,
+    and ValueError for unknown assertions, out-of-range parameters, or
+    size_bound < 1.
     """
     spec = ASSERTIONS.get(assertion)
     if spec is None:
@@ -335,38 +366,59 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
                 raise ValueError(f"{spec.param} grid value {v} outside [0, 1)")
         if not grid:
             raise ValueError("parameter grid must not be empty")
+    # The lanes' values, loosest first, and each grid position's lane.
+    values = tuple(sorted(set(grid), reverse=True))
+    lane = [values.index(v) for v in grid]
+    concludes, holds_on = spec.concludes, spec.holds_on
     scanned = 0
     hits = 0
     spaces = 0
     for img in _scan_universe(size_bound, spec.one_dimensional_only):
-        n = len(img)
+        n, size = len(img), len(img) ** (spec.arity * len(img))
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
-            for value in grid:
-                holds = spec.terms and contracts._verdicts(space, contracts._bound, value)
-                pruned = (spec.terms, holds, spec.within, spec.increasing)
-                for t in _sweep(space, spec.arity, *pruned):
-                    if spec.holds_on and not spec.holds_on(space, t):
-                        continue
-                    hits += 1
-                    if not spec.concludes(n, t):
-                        rank = functools.reduce(lambda r, v: r * n + v, t)
-                        return SearchOutcome(
-                            assertion,
-                            COUNTEREXAMPLE,
-                            size_bound,
-                            tuple(v for v in grid if v is not None),
-                            space=space,
-                            maps=_maps(img, t),
-                            param=value,
-                            stats={
-                                "instances_scanned": scanned + rank + 1,
-                                "hypothesis_hits": hits,
-                                "space_metric_combinations": spaces,
-                            },
-                        )
-                scanned += n ** (spec.arity * n)
+            holds = spec.terms and contracts._verdicts(space, contracts._bound, values)
+            lanes = Lanes((), n, len(values))
+            pruned = (spec.terms, holds, spec.within, spec.increasing)
+            tables = _sweep(space, spec.arity, *pruned, lanes)
+            # Tables by their set of lanes.  Past a witness at position p,
+            # past is the set of the lanes before the loosest lane of an
+            # earlier position: a table whose set is no larger holds at no
+            # earlier position.
+            counts, p, witness, past = dict.fromkeys(lanes.upto[1:], 0), len(grid), None, 0
+            for t in tables:
+                if holds_on and not holds_on(space, t) or (held := lanes.sets[-2]) <= past:
+                    continue
+                counts[held] += 1
+                if not concludes(n, t):
+                    # The first position it holds at: only earlier ones can
+                    # still hold an earlier witness.
+                    m = lanes.size(held)
+                    p = next(c for c in range(p) if lane[c] < m)
+                    witness = list(t), _hits(lanes, counts, lane[p : p + 1])
+                    if not p:
+                        break
+                    past = lanes.upto[min(lane[:p])]
+            if witness is not None:
+                t, seen = witness
+                rank = functools.reduce(lambda r, v: r * n + v, t)
+                return SearchOutcome(
+                    assertion,
+                    COUNTEREXAMPLE,
+                    size_bound,
+                    tuple(v for v in grid if v is not None),
+                    space=space,
+                    maps=_maps(img, t),
+                    param=grid[p],
+                    stats={
+                        "instances_scanned": scanned + p * size + rank + 1,
+                        "hypothesis_hits": hits + _hits(lanes, counts, lane[:p]) + seen,
+                        "space_metric_combinations": spaces,
+                    },
+                )
+            hits += _hits(lanes, counts, lane)
+            scanned += len(grid) * size
     return SearchOutcome(
         assertion,
         EXHAUSTED,
@@ -569,7 +621,7 @@ def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
     # pairs meeting it.
     pairs, all_constant = 0, True
     for space in spaces:
-        n, holds = len(space), contracts._verdicts(space, contracts._bound, xi)
+        n, holds = len(space), contracts._verdicts(space, contracts._bound, (xi,))
         for t in _sweep(space, 2, _saluja_terms, holds):
             pairs += 1
             all_constant &= len(set(t[:n])) == len(set(t[n:])) == 1

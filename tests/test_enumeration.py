@@ -10,6 +10,7 @@ fails.  The work counts pin how much the narrowing skips and what the
 budget counts, with no timing asserts.
 """
 
+import dataclasses
 import itertools
 import re
 from collections import Counter
@@ -120,7 +121,7 @@ def test_each_narrowing_leaves_exactly_the_hypothesis_true_tables(assertion, spa
     maps = [table_maps(space.image, t, spec.arity) for t in tables]
     for value in DEFAULT_PARAM_GRID:
         wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
-        holds = contracts._verdicts(space, contracts._bound, value)
+        holds = contracts._verdicts(space, contracts._bound, (value,))
         pruned = (spec.terms, holds, spec.within, spec.increasing)
         assert swept(space, spec.arity, *pruned) == wanted
 
@@ -249,6 +250,43 @@ def test_the_budget_counts_every_entry_a_search_assigns(monkeypatch):
     space = DigitalMetricSpace(digital_interval(0, 2), L1).describe()
     with pytest.raises(EnumerationBudgetError, match=re.escape(space + ": ")):
         find_counterexample("five-term-fixed-point", 3)
+
+
+def test_the_budget_counts_every_entry_of_one_enumeration_for_the_whole_grid(monkeypatch):
+    # Out of order: the 3-point l1 space's one enumeration for both values
+    # assigns the 15 entries of the looser one.
+    grid = (Fraction(3, 4), Fraction(1, 4))
+    expected = find_counterexample("five-term-fixed-point", 3, grid)
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 15)
+    assert find_counterexample("five-term-fixed-point", 3, grid) == expected
+    monkeypatch.setattr(mapkit, "ENUM_BUDGET", 14)
+    space = DigitalMetricSpace(digital_interval(0, 2), L1).describe()
+    with pytest.raises(EnumerationBudgetError, match=re.escape(space + ": ")):
+        find_counterexample("five-term-fixed-point", 3, grid)
+
+
+PARAMETERISED = [key for key, spec in ASSERTIONS.items() if spec.param is not None]
+
+
+@pytest.mark.parametrize("size_bound", (4, 5))
+@pytest.mark.parametrize("assertion", PARAMETERISED)
+def test_a_search_enumerates_each_space_once_for_the_whole_grid(assertion, size_bound, monkeypatch):
+    calls = Counter()
+    tables = counting(calls, "enumerate_tables", enumerate_tables)
+    monkeypatch.setattr(search, "enumerate_tables", tables)
+    outcome = find_counterexample(assertion, size_bound)
+    # One enumeration per space and grid value made three per space.
+    assert calls["enumerate_tables"] == outcome.stats["space_metric_combinations"]
+
+
+def test_a_search_computes_each_level_key_of_a_row_once(monkeypatch):
+    calls = Counter()
+    spec = ASSERTIONS["quasi-fixed-point"]
+    counted = dataclasses.replace(spec, terms=counting(calls, "terms", spec.terms))
+    monkeypatch.setitem(ASSERTIONS, "quasi-fixed-point", counted)
+    assert find_counterexample("quasi-fixed-point", 5).status == EXHAUSTED
+    # The narrowing rows of one enumeration per grid value computed 5,121.
+    assert calls["terms"] == 1_707
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ Each is compared here with the direct form, the coefficient a Fraction
 multiplying the distance, on every level key of each space; the tolerance
 regimes (l_3, l_{3/2}) keep the mpf scaling, compared with it as written
 below.  Kannan's bound decided on one key for a whole grid of (a, b), as
-the suite's sweep asks for it, is compared with the bound tuple by tuple.
+the suite's sweep asks for it, is compared with the bound tuple by tuple,
+and the one-coefficient bound for a whole grid, as a search asks for it,
+value by value.
 """
 
 import itertools
@@ -59,7 +61,23 @@ def test_bound_verdicts_match_fraction_scaling(space):
     for coeff, (lhs, base) in itertools.product(COEFFICIENTS, keys):
         value = levels[lhs] if isinstance(lhs, int) else levels[lhs[0]] + levels[lhs[1]]
         expected = at_most(space, value, scaled(space, coeff, levels[base]))
-        assert _bound(ar, levels, (lhs, base), coeff) == expected, (coeff, lhs, base)
+        assert _bound(ar, levels, (lhs, base), (coeff,)) == expected, (coeff, lhs, base)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_bound_grid_verdicts_match_each_value(space):
+    """A key decided for a whole grid at once, as a search asks for it:
+    bit c of its mask is the verdict under grid[c] alone, in any order and
+    with a value repeated."""
+    levels, ar = space.levels, _Arith(space)
+    ranks = range(len(levels))
+    grid = COEFFICIENTS[::-1] + COEFFICIENTS[2:4]
+    for key in itertools.product(ranks, ranks):
+        mask = _bound(ar, levels, key, grid)
+        assert [mask >> c & 1 for c in range(len(grid))] == [
+            _bound(ar, levels, key, (coeff,)) for coeff in grid
+        ], key
+        assert mask >> len(grid) == 0
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)

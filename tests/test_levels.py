@@ -48,7 +48,7 @@ def test_level_order(space):
     ar, ranks = _Arith(space), range(len(levels))
     for coeff in COEFFICIENTS:
         for base in ranks:
-            verdicts = [contracts._bound(ar, levels, (lhs, base), coeff) for lhs in ranks]
+            verdicts = [contracts._bound(ar, levels, (lhs, base), (coeff,)) for lhs in ranks]
             assert verdicts == sorted(verdicts, reverse=True), (coeff, base)
 
 

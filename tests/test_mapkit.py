@@ -338,6 +338,59 @@ def test_forward_checking_matches_the_copying_reference(domains, seed):
             run(nodes - 1)
 
 
+def nested_lanes(domains, seed, count):
+    """count lanes over 3-bit domains: lane c's domains and rows are lane
+    c - 1's ANDed with draws of seed + c, so each lane is a subset of the
+    one before.  Returns each lane's plain domains and narrowing, and the
+    packed Lanes with their narrowing."""
+    rng = random.Random(seed)
+    plain = [list(domains)]
+    for _ in range(1, count):
+        plain.append([d & rng.randrange(8) for d in plain[-1]])
+    draws = [seeded_narrow(seed + c, len(domains)) for c in range(count)]
+
+    def lane(c):
+        def narrow(t, k):
+            rows = {}
+            for draw in draws[: c + 1]:
+                for j, mask in draw(t, k):
+                    rows[j] = rows.get(j, 7) & mask
+            return sorted(rows.items())
+
+        return narrow
+
+    narrows = [lane(c) for c in range(count)]
+
+    def packed(t, k):
+        rows = [dict(narrow(t, k)) for narrow in narrows]
+        later = sorted(set().union(*rows))
+        return [(j, sum(row.get(j, 7) << 3 * c for c, row in enumerate(rows))) for j in later]
+
+    lanes = [sum(d << 3 * c for c, d in enumerate(ds)) for ds in zip(*plain)]
+    return plain, narrows, mapkit.Lanes(lanes, 3, count), packed
+
+
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=4), st.integers(0, 99), st.integers(1, 3))
+def test_lanes_carry_nested_narrowings_through_one_enumeration(domains, seed, count):
+    plain, narrows, lanes, packed = nested_lanes(domains, seed, count)
+    tables = [[tuple(t) for t in enumerate_tables(*pair)] for pair in zip(plain, narrows)]
+    _, nodes = forward_checking_reference(plain[0], narrows[0])
+
+    def run(budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mapkit, "ENUM_BUDGET", budget)
+            return [(tuple(t), lanes.sets[-2]) for t in enumerate_tables(lanes, packed)]
+
+    # Lane 0's tables and nodes, each table with the lanes that take it.
+    found = run(nodes)
+    assert [t for t, _ in found] == tables[0]
+    for t, held in found:
+        assert held == sum(1 << 3 * c for c in range(count) if t in tables[c]), t
+    if nodes:
+        with pytest.raises(EnumerationBudgetError):
+            run(nodes - 1)
+
+
 def test_fpp_holds_only_on_singleton():
     assert has_fpp(digital_interval(0, 0)) == (True, None)
     verdict = has_fpp(I2)

@@ -9,6 +9,7 @@ must return the same verdict and the same witness as a scan of every
 self-map.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -25,7 +26,14 @@ from digitop.search import (
     small_connected_images,
 )
 
-GRIDS = (DEFAULT_PARAM_GRID, (Fraction(0), Fraction(1, 3), Fraction(9, 10)))
+GRIDS = {
+    "default-grid": DEFAULT_PARAM_GRID,
+    "other-grid": (Fraction(0), Fraction(1, 3), Fraction(9, 10)),
+    # Grids need not ascend, and a repeated value is scanned again.
+    "descending": (Fraction(3, 4), Fraction(1, 4)),
+    "repeated": (Fraction(1, 4), Fraction(1, 4)),
+    "unsorted": (Fraction(1, 2), Fraction(0), Fraction(3, 4)),
+}
 
 
 def product_scan(assertion, size_bound, grid):
@@ -61,7 +69,7 @@ def product_scan(assertion, size_bound, grid):
     return EXHAUSTED, None, [], None, stats
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=("default-grid", "other-grid"))
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
 @pytest.mark.parametrize("size_bound", (1, 2, 3, 4))
 @pytest.mark.parametrize("assertion", sorted(ASSERTIONS))
 def test_search_matches_the_product_scan(assertion, size_bound, grid):
@@ -69,6 +77,31 @@ def test_search_matches_the_product_scan(assertion, size_bound, grid):
     space = None if outcome.space is None else outcome.space.describe()
     found = (outcome.status, outcome.param, [m.values for m in outcome.maps], space, outcome.stats)
     assert found == product_scan(assertion, size_bound, grid)
+
+
+# The searches' own claims fail, if at all, at every grid value at once.
+# These conclusions fail on some tables that only looser values admit, so
+# a search can meet a conclusion-false table at a later grid position
+# before one at an earlier position.
+PLANTED = {
+    "image-not-two-points": lambda n, t: len(set(t)) != 2,
+    "image-not-three-points": lambda n, t: len(set(t)) != 3,
+    "first-entry-not-2": lambda n, t: t[0] != 2,
+}
+PLANTED_GRIDS = {
+    "default-grid": DEFAULT_PARAM_GRID,
+    "unsorted": (Fraction(1, 2), Fraction(0), Fraction(3, 4)),
+    "repeated": (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("grid", PLANTED_GRIDS.values(), ids=PLANTED_GRIDS.keys())
+@pytest.mark.parametrize("concludes", PLANTED.values(), ids=PLANTED.keys())
+@pytest.mark.parametrize("size_bound", (3, 4))
+def test_a_planted_conclusion_matches_the_product_scan(size_bound, concludes, grid, monkeypatch):
+    spec = dataclasses.replace(ASSERTIONS["quasi-fixed-point"], key="planted", concludes=concludes)
+    monkeypatch.setitem(ASSERTIONS, spec.key, spec)
+    test_search_matches_the_product_scan(spec.key, size_bound, grid)
 
 
 def fpp_scan(img, restrict_continuous):
