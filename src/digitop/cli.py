@@ -18,15 +18,13 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from . import fixpoint, mapkit, metric, search
 from .contracts import (
-    _Arith,
-    _ciric5_terms,
-    _constant,
-    _domination_terms,
-    _keys,
-    _quasi_terms,
-    _saluja_terms,
+    DOMINATION,
+    FIVE_TERM,
+    QUASI,
+    SUM_BOUND,
     compatible,
     lipschitz_min,
+    minimal_constant,
     parv_rational_check,
     weakly_commutative,
 )
@@ -36,7 +34,7 @@ from .documents import (
     load_document,
     serialize_document,
 )
-from .exact import RadicalSum, value_str
+from .exact import RadicalSum, exact_lt, value_str
 from .mapkit import (
     AffineMapZ,
     EnumerationBudgetError,
@@ -148,61 +146,47 @@ def _cmd_check_map(args, parser) -> int:
 
 
 def _classify_finite_single(space, m) -> list[dict]:
-    rows = []
-    ar = _Arith(space)
-    k = lipschitz_min(space, m)
-    rows.append(
-        {
-            "condition": "contraction",
-            "minimal_constant": _value_json(k),
-            "holds_below_one": ar.below_one(k),
-        }
+    constants = (
+        ("contraction", lipschitz_min(space, m)),
+        ("quasi-max", minimal_constant(space, QUASI, m)[0]),
+        ("five-term-max", minimal_constant(space, FIVE_TERM, m)[0]),
     )
-    for label, terms in (("quasi-max", _quasi_terms), ("five-term-max", _ciric5_terms)):
-        c = _constant(space, _keys(space, terms, m))[0]
-        rows.append(
-            {
-                "condition": label,
-                "minimal_constant": _value_json(c),
-                "holds_below_one": ar.below_one(c),
-            }
-        )
-    return rows
+    tol = space.comparison_tolerance
+    return [
+        {
+            "condition": label,
+            "minimal_constant": _value_json(c),
+            "holds_below_one": exact_lt(c, 1, tol),
+        }
+        for label, c in constants
+    ]
 
 
 def _classify_finite_pair(space, first, second) -> list[dict]:
-    rows = []
-    dom, _, dom_no_finite = _constant(space, _keys(space, _domination_terms, first, second))
-    rows.append(
+    dom, _, dom_no_finite = minimal_constant(space, DOMINATION, first, second)
+    sal, _, sal_no_finite = minimal_constant(space, SUM_BOUND, first, second)
+    wc, rat = weakly_commutative(space, first, second), parv_rational_check(space, first, second)
+    return [
         {
             "condition": "domination-of-second-by-first",
             "minimal_constant": _value_json(dom),
             "no_finite_constant": dom_no_finite,
             "range_included": second.image_set <= first.image_set,
-        }
-    )
-    sal, _, sal_no_finite = _constant(space, _keys(space, _saluja_terms, first, second))
-    rows.append(
+        },
         {
             "condition": "sum-bound",
             "minimal_constant": _value_json(sal),
             "no_finite_constant": sal_no_finite,
             "both_constant": first.is_constant and second.is_constant,
-        }
-    )
-    wc = weakly_commutative(space, first, second)
-    rows.append({"condition": "weakly-commutative", "holds": wc.holds})
-    comp = compatible(space, first, second)
-    rows.append({"condition": "compatible", "holds": comp.holds})
-    rat = parv_rational_check(space, first, second)
-    rows.append(
+        },
+        {"condition": "weakly-commutative", "holds": wc.holds},
+        {"condition": "compatible", "holds": compatible(space, first, second).holds},
         {
             "condition": "rational-two-map",
             "holds_on_defined_pairs": rat.holds,
             "undefined_pairs": len(rat.undefined_pairs),
-        }
-    )
-    return rows
+        },
+    ]
 
 
 def _classify_affine(doc, m, map2_name) -> list[dict]:

@@ -1,13 +1,15 @@
 """Evaluators for the contractive-type conditions studied here.
 
 Every check quantifies over ordered pairs (x, y), diagonal included,
-and reports the lexicographically least violation.  A pairwise
-condition asks one or both of two questions of a map, and both read one
-table, _keys: the map's distinct level keys, each with its first pair.
-_witness finds the least failing pair, the first pair of the first
-failing key, and _constant the least constant that would make the
-condition hold, with the first pair reaching it.  A map keeps its
-tables, by space and condition.  Checks run on canonical point
+and reports the lexicographically least violation.  Each pairwise
+condition is one row, Condition(terms, rule): terms gives a pair's level
+key on a table of value positions, and rule decides a key under every
+coefficient of a grid, in the space's memo (verdicts).  A check asks one
+or both of two questions of a map, and both read one table, _keys: the
+map's distinct level keys, each with its first pair.  _witness finds the
+least failing pair, the first pair of the first failing key, and
+minimal_constant the least constant that would make the condition hold,
+with the first pair reaching it.  Checks run on canonical point
 positions and the levels of the space's distances, so each map must be
 a self-map of the space's own points.  On spaces whose distances are
 exact (word metric, taxicab, Euclidean) the verdicts are exact; for
@@ -17,13 +19,14 @@ carry exact=False.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .exact import compare, exact_div
+from .exact import compare, exact_div, scale
 from .mapkit import SelfMap
 from .metric import DigitalMetricSpace
 from .space import Point
@@ -82,9 +85,9 @@ def _unit_fraction(value, name: str) -> Fraction:
 
 
 class _Arith:
-    """Comparison bound to one space's exactness regime, and scaling in
-    the tolerance regime.  Exact regimes scale nothing: a bound with
-    rational coefficients is decided with their denominators cleared."""
+    """Comparison bound to one space's exactness regime.  Exact regimes
+    scale nothing: a bound with rational coefficients is decided with
+    their denominators cleared."""
 
     def __init__(self, space: DigitalMetricSpace):
         self.tol = space.comparison_tolerance
@@ -96,15 +99,6 @@ class _Arith:
     def le(self, a, b) -> bool:
         return compare(a, b, self.tol) <= 0
 
-    def below_one(self, a) -> bool:
-        return compare(a, 1, self.tol) < 0
-
-    def scale(self, coeff: Fraction, value):
-        """coeff * value for an mpf value of the tolerance regime."""
-        import mpmath  # only general l_p needs it; loading it costs start-up
-
-        return mpmath.mpf(coeff.numerator) * value / coeff.denominator
-
 
 def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
     """f's values as positions in the space's table; f must be a self-map
@@ -114,24 +108,38 @@ def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
     return f.indices
 
 
-class _Verdicts(dict):
-    """rule(ar, levels, key, *coeffs) by level key, decided on first use."""
+class Condition(NamedTuple):
+    """A pairwise condition.  terms(rank, [n,] v, i, j) is the level key
+    of the pair of positions (i, j) on a table v of value positions, one
+    map's or two maps' (the first's n, then the second's); rule(ar,
+    levels, key, grid) decides a key under every coefficient of grid: a
+    mask whose bit c is the verdict under grid[c], or, for a rule that
+    reads no coefficient, one bool."""
 
-    def __init__(self, space: DigitalMetricSpace, rule: Callable, coeffs: tuple):
+    terms: Callable
+    rule: Callable
+
+
+class _Verdicts(dict):
+    """rule(ar, levels, key, grid) by level key, decided on first use."""
+
+    def __init__(self, space: DigitalMetricSpace, rule: Callable, grid: tuple):
         super().__init__()
-        self.ar, self.levels, self.rule, self.coeffs = _Arith(space), space.levels, rule, coeffs
+        self.ar, self.levels, self.rule, self.grid = _Arith(space), space.levels, rule, grid
 
     def __missing__(self, key):
-        verdict = self[key] = self.rule(self.ar, self.levels, key, *self.coeffs)
+        verdict = self[key] = self.rule(self.ar, self.levels, key, self.grid)
         return verdict
 
 
-def _verdicts(space: DigitalMetricSpace, rule: Callable, *coeffs) -> _Verdicts:
-    """The space's memo of rule under these coefficients, made on first use."""
-    key = (rule, *coeffs)
+def verdicts(space: DigitalMetricSpace, cond: Condition, grid: tuple) -> _Verdicts:
+    """The space's memo of cond's verdicts under grid, by level key, made
+    on first use.  It is kept by (rule, grid), so the conditions that
+    share a rule share it."""
+    key = cond.rule, grid
     memo = space.verdicts.get(key)
     if memo is None:
-        memo = space.verdicts[key] = _Verdicts(space, rule, coeffs)
+        memo = space.verdicts[key] = _Verdicts(space, cond.rule, grid)
     return memo
 
 
@@ -150,9 +158,15 @@ def _bound(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
                 mask |= 1 << c
     else:
         for c, coeff in enumerate(grid):
-            if ar.le(lhs, ar.scale(coeff, base)):
+            if ar.le(lhs, scale(coeff, base)):
                 mask |= 1 << c
     return mask
+
+
+def _strictly_below(ar: _Arith, levels: tuple, key, grid: tuple) -> bool:
+    """Banach's k < 1 on a contraction key: d(fx, fy) below d(x, y), or
+    x = y.  Levels ascend, so their indices decide it, with no coefficient."""
+    return key[0] < key[1] or key[1] == 0
 
 
 def _kannan(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
@@ -167,15 +181,16 @@ def _kannan(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
             da, db = a.denominator, b.denominator
             holds = ar.le(da * db * lhs, a.numerator * db * xy + b.numerator * da * uw)
         else:
-            holds = ar.le(lhs, ar.scale(a, xy) + ar.scale(b, uw))
+            holds = ar.le(lhs, scale(a, xy) + scale(b, uw))
         mask |= holds << c
     return mask
 
 
-def _rational_bound(ar: _Arith, levels: tuple, key) -> bool:
+def _rational_bound(ar: _Arith, levels: tuple, key, grid: tuple) -> bool:
     """The rational bound cross-multiplied, by its five levels
-    d(Tx,Sy), d(x,Sy), d(y,Tx), d(x,Tx), d(y,Sy); it holds vacuously
-    where it is undefined, its denominator's two levels being 0."""
+    d(Tx,Sy), d(x,Sy), d(y,Tx), d(x,Tx), d(y,Sy), with no coefficient; it
+    holds vacuously where it is undefined, its denominator's two levels
+    being 0."""
     if not (key[1] or key[2]):
         return True
     lhs, x_sy, y_tx, x_tx, y_sy = (levels[k] for k in key)
@@ -290,33 +305,54 @@ def _rational_terms(rank, n, v, x, y):
     return rank[tx][sy], rx[sy], ry[tx], rx[tx], ry[sy]
 
 
+# One row per pairwise condition; the bound rows share _bound's verdicts.
+CONTRACTION = Condition(_contraction_terms, _bound)
+STRICT_CONTRACTION = Condition(_contraction_terms, _strictly_below)
+KANNAN = Condition(_kannan_terms, _kannan)
+QUASI = Condition(_quasi_terms, _bound)
+FIVE_TERM = Condition(_ciric5_terms, _bound)
+DOMINATION = Condition(_domination_terms, _bound)
+SUM_BOUND = Condition(_saluja_terms, _bound)
+RATIONAL = Condition(_rational_terms, _rational_bound)
+
+
+def _keys(space: DigitalMetricSpace, cond: Condition, *maps: SelfMap) -> dict:
+    """cond's distinct level keys on the table of one map, or of two (the
+    first map's positions, then the second's), each with its first pair
+    (i, j), in lexicographic pair order with the diagonal."""
+    table = sum((_positions(space, f) for f in maps), ())
+    key = partial(cond.terms, space.rank, *(len(space),) * (len(maps) - 1), table)
+    keys = {}
+    for i, j in itertools.product(range(len(space)), repeat=2):
+        keys.setdefault(key(i, j), (i, j))
+    return keys
+
+
+def minimal_constant(space: DigitalMetricSpace, cond: Condition, *maps: SelfMap) -> tuple:
+    """(constant, worst, no_finite) of a bound row on maps: the least
+    coefficient under which it holds, the first pair reaching it, and
+    whether no coefficient does (_constant)."""
+    return _constant(space, _keys(space, cond, *maps))
+
+
+def _check(
+    space: DigitalMetricSpace, cond: Condition, grid: tuple, minimal: bool, *maps: SelfMap
+) -> ConditionReport:
+    """The pairwise checkers' one body: cond's report on maps under a grid
+    of one coefficient (or none), with its _constant if minimal."""
+    keys = _keys(space, cond, *maps)
+    constant = _constant(space, keys) if minimal else None
+    return _report(space, _witness(space, keys, verdicts(space, cond, grid)), constant)
+
+
 def check_banach(space: DigitalMetricSpace, f: SelfMap, k, minimal: bool = True) -> ConditionReport:
     """d(fx, fy) <= k * d(x, y) over all ordered pairs."""
-    k = _unit_fraction(k, "k")
-    keys = _keys(space, _contraction_terms, f)
-    constant = _constant(space, keys) if minimal else None
-    return _report(space, _witness(space, keys, _verdicts(space, _bound, (k,))), constant)
+    return _check(space, CONTRACTION, (_unit_fraction(k, "k"),), minimal, f)
 
 
 def lipschitz_min(space: DigitalMetricSpace, f: SelfMap):
     """Least k with d(fx, fy) <= k * d(x, y) everywhere; 0 on singletons."""
-    return _constant(space, _keys(space, _contraction_terms, f))[0]
-
-
-def _keys(space: DigitalMetricSpace, terms: Callable, *maps: SelfMap) -> dict:
-    """terms' distinct level keys on the table of one map, or of two (the
-    first map's positions, then the second's), each with its first pair
-    (i, j), in lexicographic pair order with the diagonal.  One map keeps
-    its table, by space and terms, for its next check."""
-    memo = maps[0].key_tables if len(maps) == 1 else {}
-    keys = memo.get((space, terms))
-    if keys is None:
-        table = sum((_positions(space, f) for f in maps), ())
-        key = partial(terms, space.rank, *(len(space),) * (len(maps) - 1), table)
-        keys = memo[space, terms] = {}
-        for i, j in itertools.product(range(len(space)), repeat=2):
-            keys.setdefault(key(i, j), (i, j))
-    return keys
+    return minimal_constant(space, CONTRACTION, f)[0]
 
 
 def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport:
@@ -332,34 +368,24 @@ def check_kannan(space: DigitalMetricSpace, t: SelfMap, a, b) -> ConditionReport
     da, db = a.denominator, b.denominator
     if 2 * (a.numerator * db + b.numerator * da) >= da * db:
         raise ValueError(f"need a + b < 1/2, got {a + b}")
-    keys = _keys(space, _kannan_terms, t)
-    return _report(space, _witness(space, keys, _verdicts(space, _kannan, ((a, b),))))
+    return _check(space, KANNAN, ((a, b),), False, t)
 
 
 def check_quasi(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max{d(x,y), d(x,Tx), d(y,Ty)}."""
-    r = _unit_fraction(r, "r")
-    keys = _keys(space, _quasi_terms, t)
-    constant = _constant(space, keys) if minimal else None
-    return _report(space, _witness(space, keys, _verdicts(space, _bound, (r,))), constant)
+    return _check(space, QUASI, (_unit_fraction(r, "r"),), minimal, t)
 
 
 def check_ciric5(space: DigitalMetricSpace, t: SelfMap, r, minimal: bool = True) -> ConditionReport:
     """d(Tx, Ty) <= r * max of the five point/image distances."""
-    r = _unit_fraction(r, "r")
-    keys = _keys(space, _ciric5_terms, t)
-    constant = _constant(space, keys) if minimal else None
-    return _report(space, _witness(space, keys, _verdicts(space, _bound, (r,))), constant)
+    return _check(space, FIVE_TERM, (_unit_fraction(r, "r"),), minimal, t)
 
 
 def check_pair_domination(
     space: DigitalMetricSpace, g: SelfMap, h: SelfMap, rho, minimal: bool = True
 ) -> PairDominationReport:
     """d(Hx, Hy) <= rho * d(Gx, Gy) for all pairs, plus H(X) subset of G(X)."""
-    rho = _unit_fraction(rho, "rho")
-    keys = _keys(space, _domination_terms, g, h)
-    constant = _constant(space, keys) if minimal else None
-    report = _report(space, _witness(space, keys, _verdicts(space, _bound, (rho,))), constant)
+    report = _check(space, DOMINATION, (_unit_fraction(rho, "rho"),), minimal, g, h)
     return PairDominationReport(report, h.image_set <= g.image_set)
 
 
@@ -372,10 +398,7 @@ def check_saluja(
     K-term: (1 - xi) * d(Ku, Kq) <= -d(Ju, Jq) <= 0), so the report also
     states each map's constancy.
     """
-    xi = _unit_fraction(xi, "xi")
-    keys = _keys(space, _saluja_terms, j, k)
-    constant = _constant(space, keys) if minimal else None
-    report = _report(space, _witness(space, keys, _verdicts(space, _bound, (xi,))), constant)
+    report = _check(space, SUM_BOUND, (_unit_fraction(xi, "xi"),), minimal, j, k)
     return ConstancyReport(report, j.is_constant, k.is_constant)
 
 
@@ -384,7 +407,7 @@ def _rational_holds(space: DigitalMetricSpace, table) -> bool:
     table of value positions.  Most tables fail, so it stops at the first
     failing pair rather than build the table's keys."""
     key = partial(_rational_terms, space.rank, len(space), table)
-    holds = _verdicts(space, _rational_bound)
+    holds = verdicts(space, RATIONAL, ())
     return all(holds[key(i, j)] for i, j in itertools.product(range(len(space)), repeat=2))
 
 
@@ -399,17 +422,12 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     denominator is positive there), so no division is ever performed;
     it is decided once per five-level key in the space's memo.
     """
-    pts, tv, sv = space.points, _positions(space, t), _positions(space, s)
-    keys = _keys(space, _rational_terms, t, s)
-    witness = _witness(space, keys, _verdicts(space, _rational_bound))
+    report = _check(space, RATIONAL, (), False, t, s)
+    pts, tv, sv = space.points, t.indices, s.indices
     # Undefined where d(x, Sy) = d(y, Tx) = 0, that is Sy = x and Tx = y.
     pairs = itertools.product(range(len(space)), repeat=2)
-    return ConditionReport(
-        holds=witness is None,
-        witness=witness,
-        undefined_pairs=tuple((pts[x], pts[y]) for x, y in pairs if sv[y] == x and tv[x] == y),
-        exact=space.comparison_tolerance is None,
-    )
+    undefined = tuple((pts[x], pts[y]) for x, y in pairs if sv[y] == x and tv[x] == y)
+    return dataclasses.replace(report, undefined_pairs=undefined)
 
 
 def weakly_commutative(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> ConditionReport:

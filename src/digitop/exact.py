@@ -299,6 +299,14 @@ def exact_lt(a, b, tol: Fraction | None = None) -> bool:
     return compare(a, b, tol) < 0
 
 
+def scale(coeff: Fraction, value):
+    """coeff * value for an inexact (mpf) value, which the tolerance regime
+    compares; exact regimes clear coeff's denominator instead."""
+    import mpmath  # only general l_p needs it; loading it costs start-up
+
+    return mpmath.mpf(coeff.numerator) * value / coeff.denominator
+
+
 def exact_div(num, den):
     """Division that never degrades int/int to float."""
     if isinstance(num, int) and isinstance(den, int):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import contracts
-from .contracts import ConditionReport, _Arith, _positions, check_kannan
+from .contracts import ConditionReport, _positions, check_kannan
+from .exact import exact_le, exact_lt, scale
 from .mapkit import EVENTUALLY_CONSTANT, OrbitReport, SelfMap, _iterate, fixed_points
 from .metric import DigitalMetricSpace
 from .space import Point, as_point, fmt_point
@@ -114,15 +115,13 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
     confirmed by scanning Fix(f), running all orbits, and re-checking
     the proof's descent inequality d(x_{n+1}, x_{n+2}) <= k * d(x_n, x_{n+1}).
     """
-    ar = _Arith(space)
-    keys = contracts._keys(space, contracts._contraction_terms, f)
-    constant = contracts._constant(space, keys)
+    tol, d = space.comparison_tolerance, space.index_distance
+    constant = contracts.minimal_constant(space, contracts.CONTRACTION, f)
     k_min, worst, _ = constant
-    hypothesis = contracts._report(space, None if ar.below_one(k_min) else worst, constant)
-    d = space.index_distance
+    hypothesis = contracts._report(space, None if exact_lt(k_min, 1, tol) else worst, constant)
 
     def descends(seq, n):
-        return ar.le(d(seq[n + 1], seq[n + 2]), k_min * d(seq[n], seq[n + 1]))
+        return exact_le(d(seq[n + 1], seq[n + 2]), k_min * d(seq[n], seq[n + 1]), tol)
 
     return _confirm(space, f, hypothesis, descends, "inequality")
 
@@ -152,14 +151,14 @@ def _kannan_conclusion(
 ) -> TheoremReport:
     """kannan_verify's conclusion from its hypothesis report.  Only an
     admitted (a, b), with a + b < 1/2, reaches it, so A is defined."""
-    ar, d = _Arith(space), space.index_distance
+    tol, d = space.comparison_tolerance, space.index_distance
     big_a = kannan_descent_constant(a, b)
     p, q = big_a.numerator, big_a.denominator
 
     def descends(seq, n):
-        if ar.exact:
-            return ar.le(q**n * d(seq[n], seq[n + 1]), p**n * d(seq[0], seq[1]))
-        return ar.le(d(seq[n], seq[n + 1]), ar.scale(big_a**n, d(seq[0], seq[1])))
+        if tol is None:
+            return exact_le(q**n * d(seq[n], seq[n + 1]), p**n * d(seq[0], seq[1]))
+        return exact_le(d(seq[n], seq[n + 1]), scale(big_a**n, d(seq[0], seq[1])), tol)
 
     return _confirm(space, t, hypothesis, descends, "estimate")
 

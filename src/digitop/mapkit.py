@@ -88,12 +88,6 @@ class SelfMap:
         return tuple(rep for rep, _ in walks), tuple(seq for _, seq in walks)
 
     @cached_property
-    def key_tables(self) -> dict:
-        """The map's level-key tables, by (space, condition's terms), as
-        contracts._keys builds them on first use."""
-        return {}
-
-    @cached_property
     def image_set(self) -> frozenset:
         return frozenset(self.values)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import contracts, fixpoint, mapkit
-from .contracts import _ciric5_terms, _domination_terms, _quasi_terms, _saluja_terms
+from .contracts import DOMINATION, FIVE_TERM, QUASI, SUM_BOUND
 from .mapkit import (
     EnumerationBudgetError,
     Lanes,
@@ -55,18 +55,23 @@ def _strictly_increasing_1d(f: SelfMap) -> bool:
     return all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _common_fixed(n: int, t) -> list[int]:
-    """The positions that every map of the table t fixes.  t[k - n] is the
-    last map's entry k: the second map's, or with one map its own."""
-    return [k for k in range(n) if t[k] == k == t[k - n]]
+def _common_fix(n: int, t, start: int = 0) -> int:
+    """The first position from start that every map of the table t fixes,
+    or n if none does.  t[k - n] is the last map's entry k: the second
+    map's, or with one map its own."""
+    for k in range(start, n):
+        if t[k] == k == t[k - n]:
+            return k
+    return n
 
 
 def _unique_common_fix(n: int, t) -> bool:
-    return len(_common_fixed(n, t)) == 1
+    p = _common_fix(n, t)
+    return p < n and _common_fix(n, t, p + 1) == n
 
 
 def _has_common_fix(n: int, t) -> bool:
-    return bool(_common_fixed(n, t))
+    return _common_fix(n, t) < n
 
 
 def _compatible(n: int, t) -> bool:
@@ -78,10 +83,12 @@ def _alternating_limits_are_unique_common_fix(n: int, t) -> bool:
     """Every accumulation point of every interleaved orbit x, Tx, STx, ...
     is the one common fixed point p: each orbit reaches p, where it stays,
     within the 2n steps that exhaust its (position, turn) states."""
-    fixed, ends = _common_fixed(n, t), range(n)
+    if not _unique_common_fix(n, t):
+        return False
+    ends = range(n)
     for _ in range(n):  # two steps: T, then S
         ends = [t[n + t[x]] for x in ends]
-    return len(fixed) == 1 and set(ends) == set(fixed)
+    return set(ends) == {_common_fix(n, t)}
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,9 @@ class _Assertion:
     param: str | None
     hypothesis: Callable
     concludes: Callable  # (n, t) on a table of value positions, map after map
-    # The checker's level key by pair.  With one, the narrowing decides the
-    # whole hypothesis: every complete table enumerated is hypothesis-true.
-    terms: Callable | None = None
+    # The checker's row.  With one, the narrowing decides the whole
+    # hypothesis: every complete table enumerated is hypothesis-true.
+    condition: contracts.Condition | None = None
     # Without one, the hypothesis (space, t) on each table of value positions.
     holds_on: Callable | None = None
     within: bool = False  # the second map's values lie among the first's
@@ -108,15 +115,16 @@ class _Assertion:
         return self.concludes(len(space), table)
 
 
-def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, within: bool, lanes: Lanes):
-    """narrow(t, k) for enumerate_tables from a checker's level key by pair,
-    terms(rank, [n,] t, i, j), and a memo of its verdicts: each later entry
-    j of the last map keeps, in each of the domains' lanes, the values for
-    which (k, j) holds there (each condition is symmetric; (i, i) has lhs
-    0; Lanes.holding).  With within, the second map's values lie among the
+def _narrow(space: DigitalMetricSpace, arity: int, cond, grid: tuple, within: bool, lanes: Lanes):
+    """narrow(t, k) for enumerate_tables from a checker's row and the
+    space's memo of its verdicts under grid: each later entry j of the
+    last map keeps, in each of the domains' lanes, the values for which
+    (k, j) holds there (each condition is symmetric; (i, i) has lhs 0;
+    Lanes.holding).  With within, the second map's values lie among the
     first's.  Rows are kept by (k, t[k]) until the first map changes."""
     n, first = len(space), (arity - 1) * len(space)
-    key = functools.partial(terms, space.rank, *(n,) * (arity - 1))
+    key = functools.partial(cond.terms, space.rank, *(n,) * (arity - 1))
+    holds = contracts.verdicts(space, cond, grid)
     rows, full, held = {}, lanes.every((1 << n) - 1), lanes.holding()
 
     def narrow(t, k):
@@ -141,11 +149,6 @@ def _narrow(space: DigitalMetricSpace, arity: int, terms: Callable, holds, withi
         return row
 
     return narrow
-
-
-def _strictly_below(ar, levels, key) -> bool:
-    """Banach's k < 1 on a pair: d(fx, fy) below d(x, y), or x = y."""
-    return key[0] < key[1] or key[1] == 0
 
 
 def _hyp_quasi(space, maps, r):
@@ -189,19 +192,19 @@ def _hyp_rational(space, maps, _param):
 ASSERTIONS: dict[str, _Assertion] = {
     a.key: a
     for a in (
-        _Assertion("quasi-fixed-point", 1, "r", _hyp_quasi, _has_common_fix, _quasi_terms),
-        _Assertion("five-term-fixed-point", 1, "r", _hyp_five_term, _has_common_fix, _ciric5_terms),
+        _Assertion("quasi-fixed-point", 1, "r", _hyp_quasi, _has_common_fix, QUASI),
+        _Assertion("five-term-fixed-point", 1, "r", _hyp_five_term, _has_common_fix, FIVE_TERM),
         _Assertion(
             "dominated-common-fix-with-range",
             2,
             "rho",
             _hyp_dominated_with_range,
             _unique_common_fix,
-            _domination_terms,
+            DOMINATION,
             within=True,
         ),
         _Assertion(
-            "dominated-common-fix", 2, "rho", _hyp_dominated, _unique_common_fix, _domination_terms
+            "dominated-common-fix", 2, "rho", _hyp_dominated, _unique_common_fix, DOMINATION
         ),
         _Assertion(
             "dominated-monotone-compatible",
@@ -209,11 +212,11 @@ ASSERTIONS: dict[str, _Assertion] = {
             "rho",
             _hyp_dominated_monotone,
             _compatible,
-            _domination_terms,
+            DOMINATION,
             increasing=True,
             one_dimensional_only=True,
         ),
-        _Assertion("sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _has_common_fix, _saluja_terms),
+        _Assertion("sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _has_common_fix, SUM_BOUND),
         _Assertion(
             "rational-alternating-common-fix",
             2,
@@ -292,12 +295,12 @@ def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
     return tuple(SelfMap(img, tuple(values[a : a + n])) for a in range(0, len(values), n))
 
 
-def _sweep(space, arity: int, terms=None, holds=None, within=False, increasing=False, lanes=None):
+def _sweep(space, arity: int, cond=None, grid=(), within=False, increasing=False, lanes=None):
     """Each table of value positions of `arity` maps in product order, one
-    list filled in place: all, or with terms those whose last map's pairs
-    hold (_narrow) in some lane.  lanes, an empty mapkit.Lanes of n-bit
-    lanes, receives the domains, so that its sets give each table's lanes;
-    without it there is one lane.  With increasing, each entry is pinned to
+    list filled in place: all, or with a row cond those whose last map's
+    pairs hold under grid (_narrow) in some lane.  lanes, an empty
+    mapkit.Lanes of n-bit lanes, receives the domains, so that its sets
+    give each table's lanes; without it there is one lane.  With increasing, each entry is pinned to
     its own position, since a strictly increasing self-map of a finite
     interval is the identity.  A budget error names the space."""
     n = len(space)
@@ -306,7 +309,7 @@ def _sweep(space, arity: int, terms=None, holds=None, within=False, increasing=F
         domains += [domains.every(1 << k % n) for k in range(arity * n)]
     else:
         domains += [domains.every((1 << n) - 1)] * (arity * n)
-    narrow = _narrow(space, arity, terms, holds, within, domains) if terms else lambda t, k: ()
+    narrow = _narrow(space, arity, cond, grid, within, domains) if cond else lambda t, k: ()
     try:
         yield from enumerate_tables(domains, narrow)
     except EnumerationBudgetError as err:
@@ -378,9 +381,8 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
-            holds = spec.terms and contracts._verdicts(space, contracts._bound, values)
             lanes = Lanes((), n, len(values))
-            pruned = (spec.terms, holds, spec.within, spec.increasing)
+            pruned = (spec.condition, values, spec.within, spec.increasing)
             tables = _sweep(space, spec.arity, *pruned, lanes)
             # Tables by their set of lanes.  Past a witness at position p,
             # past is the set of the lanes before the loosest lane of an
@@ -487,20 +489,20 @@ def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
     return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
 
 
-def _theorem_sweep(name: str, spaces, grid, terms, verdicts, verify: Callable) -> SuiteEntry:
+def _theorem_sweep(name: str, spaces, cond, grid: tuple, verify: Callable) -> SuiteEntry:
     """Tally verify(space, f, *coeffs) over every self-map f of each space,
-    for each coefficient tuple of grid.  verdicts(space) is the space's
-    memo of masks by level key (terms): bit c holds under grid[c].
-    One enumeration per space keeps the maps whose every pair holds for
-    some tuple; each leaf is verified, as one SelfMap, under the tuples
-    that hold on all its pairs, in grid order.  Every (table, tuple) left
-    out fails the hypothesis."""
+    for each coefficient tuple of grid, cond's row deciding the hypothesis:
+    bit c of a key's verdict holds under grid[c].  One enumeration per
+    space keeps the maps whose every pair holds for some tuple; each leaf
+    is verified, as one SelfMap, under the tuples that hold on all its
+    pairs, in grid order.  Every (table, tuple) left out fails the
+    hypothesis."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
     for space in spaces:
-        n, rank = len(space), space.rank
-        holds = verdicts(space)
+        n, rank, terms = len(space), space.rank, cond.terms
+        holds = contracts.verdicts(space, cond, grid)
         verified = 0
-        for t in _sweep(space, 1, terms, holds):
+        for t in _sweep(space, 1, cond, grid):
             mask = (1 << len(grid)) - 1
             for i, j in itertools.product(range(n), repeat=2):
                 mask &= holds[terms(rank, t, i, j)]
@@ -517,9 +519,8 @@ def _theorem_sweep(name: str, spaces, grid, terms, verdicts, verify: Callable) -
 
 def _suite_contraction(spaces) -> SuiteEntry:
     # The grid is one empty tuple, so the memo's bools are one-bit masks.
-    name, terms = "contraction-theorem-exhaustive", contracts._contraction_terms
-    verdicts = functools.partial(contracts._verdicts, rule=_strictly_below)
-    return _theorem_sweep(name, spaces, [()], terms, verdicts, fixpoint.banach_verify)
+    name, cond = "contraction-theorem-exhaustive", contracts.STRICT_CONTRACTION
+    return _theorem_sweep(name, spaces, cond, ((),), fixpoint.banach_verify)
 
 
 _EIGHTHS = tuple(Fraction(i, 8) for i in range(4))
@@ -527,16 +528,13 @@ _KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fract
 
 
 def _suite_two_coefficient(spaces, grid=_KANNAN_GRID) -> SuiteEntry:
-    name, terms = "two-coefficient-theorem-exhaustive", contracts._kannan_terms
-
-    def verdicts(space):
-        return contracts._verdicts(space, contracts._kannan, grid)
+    name = "two-coefficient-theorem-exhaustive"
 
     def verify(space, t, a, b):
         # The mask decided the hypothesis: check_kannan's report, had it run.
         return fixpoint._kannan_conclusion(space, t, contracts._report(space, None), a, b)
 
-    return _theorem_sweep(name, spaces, grid, terms, verdicts, verify)
+    return _theorem_sweep(name, spaces, contracts.KANNAN, grid, verify)
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:
@@ -621,8 +619,8 @@ def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
     # pairs meeting it.
     pairs, all_constant = 0, True
     for space in spaces:
-        n, holds = len(space), contracts._verdicts(space, contracts._bound, (xi,))
-        for t in _sweep(space, 2, _saluja_terms, holds):
+        n = len(space)
+        for t in _sweep(space, 2, SUM_BOUND, (xi,)):
             pairs += 1
             all_constant &= len(set(t[:n])) == len(set(t[n:])) == 1
     img = digital_interval(0, 1)

@@ -229,6 +229,21 @@ def test_classify_pair(finite, capsys):
     assert rows["rational-two-map"]["undefined_pairs"] == 0
 
 
+def test_classify_pair_text(finite, capsys):
+    # Text keeps each row's fields in their order, which JSON's sorted keys do not show.
+    code, out, _ = run(["classify", "--space", finite, "--map", "T", "--map2", "S"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "classification on 3 point(s) in Z^1 with c1, metric l1:",
+        "  domination-of-second-by-first: minimal_constant=None"
+        " no_finite_constant=True range_included=False",
+        "  sum-bound: minimal_constant=2 no_finite_constant=False both_constant=False",
+        "  weakly-commutative: holds=False",
+        "  compatible: holds=True",
+        "  rational-two-map: holds_on_defined_pairs=False undefined_pairs=0",
+    ]
+
+
 def test_classify_affine_pair_both_orientations(integer_line, capsys):
     # --map names the dominating map, --map2 the dominated one
     code, out, _ = run(
@@ -277,6 +292,33 @@ def test_classify_l3_constants_print_as_floats(l3_plane, capsys):
         1.2599210498948732,
         1.2599210498948732,
         1.0,
+    ]
+
+
+def test_classify_l3_pair_text(tmp_path, capsys):
+    maps = {
+        "T": [[[0, 0], [1, 1]], [[1, 0], [0, 0]], [[1, 1], [1, 1]]],
+        "S": [[[0, 0], [1, 0]], [[1, 0], [0, 0]], [[1, 1], [1, 0]]],
+    }
+    doc = {
+        "dimension": 2,
+        "points": [[0, 0], [1, 0], [1, 1]],
+        "adjacency": {"type": "cu", "u": 2},
+        "metric": {"type": "lp", "p": 3},
+        "maps": [{"name": name, "pairs": pairs} for name, pairs in maps.items()],
+    }
+    space = write(tmp_path, "l3_pair.json", doc)
+    code, out, _ = run(["classify", "--space", space, "--map", "T", "--map2", "S"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "classification on 3 point(s) in Z^2 with c2, metric l3:",
+        "  domination-of-second-by-first: minimal_constant=0.7937005259840998"
+        " no_finite_constant=False range_included=False",
+        "  sum-bound: minimal_constant=2.259921049894873"
+        " no_finite_constant=False both_constant=False",
+        "  weakly-commutative: holds=False",
+        "  compatible: holds=False",
+        "  rational-two-map: holds_on_defined_pairs=False undefined_pairs=1",
     ]
 
 

@@ -104,7 +104,7 @@ def swept(monkeypatch):
     return tables
 
 
-NARROWED = [key for key, spec in ASSERTIONS.items() if spec.terms is not None]
+NARROWED = [key for key, spec in ASSERTIONS.items() if spec.condition is not None]
 SPACES = [
     DigitalMetricSpace(img, metric)
     for img in small_connected_images(3)
@@ -121,8 +121,7 @@ def test_each_narrowing_leaves_exactly_the_hypothesis_true_tables(assertion, spa
     maps = [table_maps(space.image, t, spec.arity) for t in tables]
     for value in DEFAULT_PARAM_GRID:
         wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
-        holds = contracts._verdicts(space, contracts._bound, (value,))
-        pruned = (spec.terms, holds, spec.within, spec.increasing)
+        pruned = (spec.condition, (value,), spec.within, spec.increasing)
         assert swept(space, spec.arity, *pruned) == wanted
 
 
@@ -143,8 +142,7 @@ def self_maps(space):
 def test_the_contraction_narrowing_leaves_exactly_the_hypothesis_true_maps(space, swept):
     tables, maps = self_maps(space)
     wanted = [t for t, f in zip(tables, maps) if fixpoint.banach_verify(space, f).hypothesis.holds]
-    holds = contracts._verdicts(space, search._strictly_below)
-    assert swept(space, 1, contracts._contraction_terms, holds) == wanted
+    assert swept(space, 1, contracts.STRICT_CONTRACTION, ((),)) == wanted
 
 
 @pytest.mark.parametrize("space", THEOREM_SPACES, ids=repr)
@@ -152,8 +150,7 @@ def test_the_contraction_narrowing_leaves_exactly_the_hypothesis_true_maps(space
 def test_the_kannan_narrowing_leaves_exactly_the_hypothesis_true_maps(space, a, b, swept):
     tables, maps = self_maps(space)
     wanted = [t for t, f in zip(tables, maps) if contracts.check_kannan(space, f, a, b).holds]
-    holds = contracts._verdicts(space, contracts._kannan, ((a, b),))
-    assert swept(space, 1, contracts._kannan_terms, holds) == wanted
+    assert swept(space, 1, contracts.KANNAN, ((a, b),)) == wanted
 
 
 @pytest.fixture
@@ -282,7 +279,8 @@ def test_a_search_enumerates_each_space_once_for_the_whole_grid(assertion, size_
 def test_a_search_computes_each_level_key_of_a_row_once(monkeypatch):
     calls = Counter()
     spec = ASSERTIONS["quasi-fixed-point"]
-    counted = dataclasses.replace(spec, terms=counting(calls, "terms", spec.terms))
+    terms = counting(calls, "terms", spec.condition.terms)
+    counted = dataclasses.replace(spec, condition=spec.condition._replace(terms=terms))
     monkeypatch.setitem(ASSERTIONS, "quasi-fixed-point", counted)
     assert find_counterexample("quasi-fixed-point", 5).status == EXHAUSTED
     # The narrowing rows of one enumeration per grid value computed 5,121.

@@ -134,7 +134,7 @@ def test_grid_verdicts_match_the_bound_under_each_tuple(img, metric, grid):
     under grid[c], and the verdict check_kannan's one-tuple grid gives."""
     space = DigitalMetricSpace(img, metric)  # fresh: no memo from elsewhere
     levels, ar = space.levels, _Arith(space)
-    masks = contracts._verdicts(space, _kannan, grid)
+    masks = contracts.verdicts(space, contracts.KANNAN, grid)
     for key in kannan_keys(space):
         lhs, x, y, u, w = (levels[k] for k in key)
         rhs = [scaled(space, a, x + y) + scaled(space, b, u + w) for a, b in grid]
