@@ -134,12 +134,14 @@ class _Verdicts(dict):
 
 def verdicts(space: DigitalMetricSpace, cond: Condition, grid: tuple) -> _Verdicts:
     """The space's memo of cond's verdicts under grid, by level key, made
-    on first use.  It is kept by (rule, grid), so the conditions that
-    share a rule share it."""
-    key = cond.rule, grid
-    memo = space.verdicts.get(key)
-    if memo is None:
-        memo = space.verdicts[key] = _Verdicts(space, cond.rule, grid)
+    on first use.  The space keeps a list of memos per rule, so the
+    conditions that share a rule share them, and a grid is found by
+    equality: no coefficient is hashed (a Fraction hashes in Python)."""
+    memos = space.verdicts.setdefault(cond.rule, [])
+    for memo in memos:
+        if memo.grid == grid:
+            return memo
+    memos.append(memo := _Verdicts(space, cond.rule, grid))
     return memo
 
 
@@ -406,7 +408,7 @@ def _rational_holds(space: DigitalMetricSpace, table) -> bool:
     """Whether the rational bound holds on every defined pair of a two-map
     table of value positions.  Most tables fail, so it stops at the first
     failing pair rather than build the table's keys."""
-    key = partial(_rational_terms, space.rank, len(space), table)
+    key = partial(RATIONAL.terms, space.rank, len(space), table)
     holds = verdicts(space, RATIONAL, ())
     return all(holds[key(i, j)] for i, j in itertools.product(range(len(space)), repeat=2))
 

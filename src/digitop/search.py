@@ -289,6 +289,14 @@ def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
 
 
+def _table(space: DigitalMetricSpace) -> tuple:
+    """All a search or a sweep reads of a space besides its positions: its
+    tolerance, levels and rank.  Spaces with equal tables have equal
+    distances at equal positions (on an interval l1, l2 and the word
+    metric agree), so they give equal results."""
+    return space.comparison_tolerance, space.levels, space.rank
+
+
 def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
     """The self-maps of img whose value positions are table, map after map."""
     n, values = len(img), [img.points[v] for v in table]
@@ -345,7 +353,10 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     table's lanes give its hits at every grid position.  After a
     conclusion-false table at position p only earlier positions stay live.
     verify() replays a witness through the checker's memo for its one
-    value, not the grid memo the search filled.
+    value, not the grid memo the search filled.  Spaces with equal
+    _tables (on an interval, all three metrics) are enumerated once: a
+    later one adds the hits of the first, which had no witness, since a
+    witness ends the search in the space where it is found.
 
     Deterministic: the first witness in (space, grid position, table)
     order is returned.  Raises EnumerationBudgetError, naming the space,
@@ -376,11 +387,17 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     scanned = 0
     hits = 0
     spaces = 0
+    found = {}  # the hits of each table enumerated: all witness-free
     for img in _scan_universe(size_bound, spec.one_dimensional_only):
         n, size = len(img), len(img) ** (spec.arity * len(img))
         for metric in _METRICS:
             space = DigitalMetricSpace(img, metric)
             spaces += 1
+            table = _table(space)
+            if table in found:
+                hits += found[table]
+                scanned += len(grid) * size
+                continue
             lanes = Lanes((), n, len(values))
             pruned = (spec.condition, values, spec.within, spec.increasing)
             tables = _sweep(space, spec.arity, *pruned, lanes)
@@ -419,7 +436,8 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
                         "space_metric_combinations": spaces,
                     },
                 )
-            hits += _hits(lanes, counts, lane)
+            found[table] = _hits(lanes, counts, lane)
+            hits += found[table]
             scanned += len(grid) * size
     return SearchOutcome(
         assertion,
@@ -496,24 +514,29 @@ def _theorem_sweep(name: str, spaces, cond, grid: tuple, verify: Callable) -> Su
     space keeps the maps whose every pair holds for some tuple; each leaf
     is verified, as one SelfMap, under the tuples that hold on all its
     pairs, in grid order.  Every (table, tuple) left out fails the
-    hypothesis."""
+    hypothesis.  Each distinct _table is enumerated once: a space whose
+    table an earlier one had adds that space's tally again."""
     counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
+    tallies = {}
     for space in spaces:
-        n, rank, terms = len(space), space.rank, cond.terms
-        holds = contracts.verdicts(space, cond, grid)
-        verified = 0
-        for t in _sweep(space, 1, cond, grid):
-            mask = (1 << len(grid)) - 1
-            for i, j in itertools.product(range(n), repeat=2):
-                mask &= holds[terms(rank, t, i, j)]
-            if not mask:
-                continue
-            f = _maps(space.image, t)
-            for c, coeffs in enumerate(grid):
-                if mask >> c & 1:
-                    verified += 1
-                    counts[_TALLY[verify(space, *f, *coeffs).conclusion]] += 1
-        counts["hypothesis_failed"] += n**n * len(grid) - verified
+        table = _table(space)
+        if table not in tallies:
+            n, rank, terms = len(space), space.rank, cond.terms
+            holds = contracts.verdicts(space, cond, grid)
+            tally = tallies[table] = dict.fromkeys(counts, 0)
+            for t in _sweep(space, 1, cond, grid):
+                mask = (1 << len(grid)) - 1
+                for i, j in itertools.product(range(n), repeat=2):
+                    mask &= holds[terms(rank, t, i, j)]
+                if not mask:
+                    continue
+                f = _maps(space.image, t)
+                for c, coeffs in enumerate(grid):
+                    if mask >> c & 1:
+                        tally[_TALLY[verify(space, *f, *coeffs).conclusion]] += 1
+            tally["hypothesis_failed"] += n**n * len(grid) - sum(tally.values())
+        for key, k in tallies[table].items():
+            counts[key] += k
     return SuiteEntry(name, counts["refuted"] == 0, counts)
 
 
@@ -616,13 +639,18 @@ def _suite_rational_ill_definedness() -> SuiteEntry:
 
 def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
     # The narrowing checks the bound on every pair: it admits exactly the
-    # pairs meeting it.
-    pairs, all_constant = 0, True
+    # pairs meeting it.  Each distinct _table is swept once.
+    pairs, all_constant, swept = 0, True, {}
     for space in spaces:
-        n = len(space)
-        for t in _sweep(space, 2, SUM_BOUND, (xi,)):
-            pairs += 1
-            all_constant &= len(set(t[:n])) == len(set(t[n:])) == 1
+        table = _table(space)
+        if table not in swept:
+            n, count, constant = len(space), 0, True
+            for t in _sweep(space, 2, SUM_BOUND, (xi,)):
+                count += 1
+                constant &= len(set(t[:n])) == len(set(t[n:])) == 1
+            swept[table] = count, constant
+        pairs += swept[table][0]
+        all_constant &= swept[table][1]
     img = digital_interval(0, 1)
     space = DigitalMetricSpace(img, L2)
     j = SelfMap.constant(img, 0)

@@ -69,6 +69,11 @@ def adjacent(x: Point, y: Point, adj: Adjacency | int) -> bool:
     n = len(x)
     if not 1 <= u <= n:
         raise ValueError(f"u={u} out of range for dimension {n}")
+    return _adjacent(x, y, u)
+
+
+def _adjacent(x: Point, y: Point, u: int) -> bool:
+    """adjacent's coordinate test, on points and a u already checked."""
     differing = 0
     for a, b in zip(x, y):
         delta = abs(a - b)
@@ -136,9 +141,8 @@ class DigitalImage:
             ]
             found = ((index.get(tuple(map(add, p, off))) for off in offsets) for p in pts)
             return tuple(tuple(j for j in row if j is not None) for row in found)
-        return tuple(
-            tuple(j for j, q in enumerate(pts) if adjacent(p, q, self.adjacency)) for p in pts
-        )
+        u = self.adjacency.u
+        return tuple(tuple(j for j, q in enumerate(pts) if _adjacent(p, q, u)) for p in pts)
 
     def hops(self, i: int) -> dict[int, int]:
         """Hop counts along adjacency edges from position i: position ->

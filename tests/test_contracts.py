@@ -443,13 +443,6 @@ def test_verdicts_invariant_under_reflection(mapping):
 # -- maps across spaces, and early stops -----------------------------
 
 
-def counting(monkeypatch, name: str) -> list:
-    """Count the calls of contracts.<name> into the returned list."""
-    calls, original = [], getattr(contracts, name)
-    monkeypatch.setattr(contracts, name, lambda *args: calls.append(args) or original(*args))
-    return calls
-
-
 def test_a_map_checked_on_two_spaces_gets_each_space_s_reports():
     """One SelfMap checked on two spaces of its image, l1 then l2, under two
     conditions, Kannan's then the three-term max, gets the report a fresh
@@ -474,6 +467,25 @@ def test_the_rational_test_stops_at_the_first_failing_pair(monkeypatch):
     tables fail it: one failing at (0, 0) asks for one key, not n^2.
     With T0 = 2 and S0 = 0 on [0,2]_Z, at (0, 0):
     d(T0,S0) * [d(0,S0) + d(0,T0)] = 2 * 2 > d(0,T0)d(0,S0) + d(0,S0)d(0,T0) = 0."""
-    calls = counting(monkeypatch, "_rational_terms")
+    calls, (terms, rule) = [], contracts.RATIONAL
+    counted = contracts.Condition(lambda *args: calls.append(args) or terms(*args), rule)
+    monkeypatch.setattr(contracts, "RATIONAL", counted)
     assert not contracts._rational_holds(space(3), (2, 0, 0) + (0, 0, 0))
     assert len(calls) == 1
+
+
+def test_the_verdict_memo_is_found_by_grid_equality_without_hashing(monkeypatch):
+    """The five bound rows share one memo per grid: an equal grid of other
+    Fraction objects finds it, another grid or rule does not, and no
+    look-up hashes a coefficient."""
+    sp, c = space(3), contracts
+    memo = c.verdicts(sp, c.QUASI, (HALF, Fraction(1, 4)))
+    hashed = []
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashed.append(q) or 0)
+    for row in (c.CONTRACTION, c.QUASI, c.FIVE_TERM, c.DOMINATION, c.SUM_BOUND):
+        assert c.verdicts(sp, row, (Fraction(2, 4), Fraction(1, 4))) is memo
+    assert c.verdicts(sp, c.QUASI, (HALF,)) is not memo
+    kannan = c.verdicts(sp, c.KANNAN, ((HALF, Fraction(1, 4)),))
+    assert kannan is not memo
+    assert c.verdicts(sp, c.KANNAN, ((Fraction(1, 2), Fraction(1, 4)),)) is kannan
+    assert hashed == []

@@ -272,8 +272,15 @@ def test_a_search_enumerates_each_space_once_for_the_whole_grid(assertion, size_
     tables = counting(calls, "enumerate_tables", enumerate_tables)
     monkeypatch.setattr(search, "enumerate_tables", tables)
     outcome = find_counterexample(assertion, size_bound)
-    # One enumeration per space and grid value made three per space.
-    assert calls["enumerate_tables"] == outcome.stats["space_metric_combinations"]
+    # One enumeration per distinct distance table among the spaces reached:
+    # one per space made 21 at size bound 5 (18 at 4), and one per space
+    # and grid value three times as many.
+    spec = ASSERTIONS[assertion]
+    images = small_connected_images(size_bound, spec.one_dimensional_only)
+    spaces = [DigitalMetricSpace(img, m) for img in images for m in (L1, L2, SHORTEST_PATH)]
+    reached = spaces[: outcome.stats["space_metric_combinations"]]
+    tables = {(sp.comparison_tolerance, sp.levels, sp.rank) for sp in reached}
+    assert calls["enumerate_tables"] == len(tables) < len(reached)
 
 
 def test_a_search_computes_each_level_key_of_a_row_once(monkeypatch):
@@ -283,8 +290,10 @@ def test_a_search_computes_each_level_key_of_a_row_once(monkeypatch):
     counted = dataclasses.replace(spec, condition=spec.condition._replace(terms=terms))
     monkeypatch.setitem(ASSERTIONS, "quasi-fixed-point", counted)
     assert find_counterexample("quasi-fixed-point", 5).status == EXHAUSTED
-    # The narrowing rows of one enumeration per grid value computed 5,121.
-    assert calls["terms"] == 1_707
+    # The 21 spaces have 8 distinct tables, each enumerated once.  One
+    # enumeration per space computed 1,707 keys, and one per space and
+    # grid value 5,121.
+    assert calls["terms"] == 665
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,11 @@ failure.  The loops below are the earlier ones: every self-map (or pair)
 from the product enumerators goes through the verifier.  Whole suite
 entries must agree, on more spaces and coefficients than the suite uses.
 Work counts pin that the suite verifies only hypothesis-true maps,
-enumerates each space once for a whole coefficient grid, decides each
-Kannan key once for the whole grid, hands each hypothesis-true (map,
-tuple) straight to the conclusion step, and builds each verified map and
-its orbits once per space.  Each report so tallied is the one
-kannan_verify gives on a fresh space and map.
+enumerates each distinct distance table once for a whole coefficient
+grid, decides each Kannan key once for the whole grid, hands each
+hypothesis-true (map, tuple) straight to the conclusion step, and builds
+each verified map and its orbits once per distance table.  Each report
+so tallied is the one kannan_verify gives on a fresh space and map.
 """
 
 from collections import Counter
@@ -24,6 +24,7 @@ from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
 from digitop.search import (
     _KANNAN_GRID,
     SuiteEntry,
+    _interval_spaces,
     _suite_contraction,
     _suite_sum_bound_constancy,
     _suite_two_coefficient,
@@ -180,6 +181,47 @@ def test_the_sum_bound_sweep_matches_the_product_loop(img, metric, xi):
     assert swept == sum_bound_loop(fresh(img, metric), xi)
 
 
+def square_spaces():
+    """The 2x2 grid under c1 and c2 and each scan metric: l1 does not read
+    the adjacency, nor l2, and under c1 the word metric is l1, while l1 and
+    l2 rank every pair alike on different levels."""
+    return [DigitalMetricSpace(img, m) for img in IMAGES[4:] for m in (L1, L2, SHORTEST_PATH)]
+
+
+SPACE_SETS = {
+    "intervals": lambda: _interval_spaces(3, 4),
+    "squares": square_spaces,
+}
+SWEEPS = {"contraction": _suite_contraction, "two-coefficient": _suite_two_coefficient}
+
+
+@pytest.mark.parametrize("spaces", SPACE_SETS.values(), ids=SPACE_SETS.keys())
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
+def test_a_theorem_sweep_is_the_sum_of_its_spaces_swept_alone(sweep, spaces):
+    # Spaces with equal distance tables are swept once: the tally must be
+    # what sweeping each space on its own adds up to.
+    alone = [sweep([space]) for space in spaces()]
+    total = Counter()
+    for entry in alone:
+        total.update(entry.evidence)
+    entry = sweep(spaces())
+    assert entry.evidence == dict(total)
+    assert entry.passed == all(e.passed for e in alone)
+
+
+@pytest.mark.parametrize(
+    "spaces", (lambda: _interval_spaces(1, 2, 3), square_spaces), ids=("intervals", "squares")
+)
+def test_the_sum_bound_entry_is_the_sum_of_its_spaces_swept_alone(spaces):
+    alone = [_suite_sum_bound_constancy([space]).evidence for space in spaces()]
+    entry = _suite_sum_bound_constancy(spaces())
+    assert entry.evidence == {
+        "pairs_satisfying_bound": sum(e["pairs_satisfying_bound"] for e in alone),
+        "all_satisfying_pairs_constant": all(e["all_satisfying_pairs_constant"] for e in alone),
+        "constant_pair_common_fixed_points": 0,
+    }
+
+
 def counting(calls: Counter, name: str, fn):
     def counted(*args, **kwargs):
         calls[name] += 1
@@ -218,34 +260,40 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     evidence = {e.name: e.evidence for e in report.entries}
     # The product loops made 8,490 kannan_verify and 849 banach_verify
     # calls.  The sweep's masks decide the two-coefficient hypotheses, so
-    # only the conclusion step runs, once per hypothesis-true (map, tuple).
+    # only the conclusion step runs, once per hypothesis-true (map, tuple)
+    # of each distinct distance table.  The six interval spaces have two:
+    # l1, l2 and the word metric agree on an interval.  Each space swept
+    # made 246 conclusion steps and 21 banach_verify calls, the confirmed
+    # counts, which stay.
     assert calls["kannan_verify"] == 0
-    assert calls["_kannan_conclusion"] == 246
+    assert calls["_kannan_conclusion"] == 82
     assert evidence["two-coefficient-theorem-exhaustive"]["confirmed"] == 246
-    assert calls["banach_verify"] == 21
+    assert calls["banach_verify"] == 7
     assert evidence["contraction-theorem-exhaustive"]["confirmed"] == 21
     # The prefix decides the bound on every pair it admits: only the
     # constructed pair is checked.
     assert calls["check_saluja"] == 1
-    # The 246 two-coefficient verifications fall on 33 distinct tables of
-    # the six interval spaces: each sweep builds a SelfMap once per table
-    # and space, and each map runs its orbits once.  A map per verification
-    # and every orbit per verification made 276 SelfMaps and 969 orbits.
-    assert calls["__post_init__"] == 63
-    assert calls["_iterate"] == 198
-    # One enumeration per space for the whole coefficient grid: one per
-    # space and tuple made 6 + 60, and 6,996 two-coefficient level keys.
+    # The 82 two-coefficient verifications fall on 11 tables of value
+    # positions of the two distance tables: each sweep builds a SelfMap once
+    # per table of positions and distance table, and each map runs its
+    # orbits once.  Each space swept made 63 SelfMaps and 198 orbits; a map
+    # per verification and every orbit per verification 276 and 969.
+    assert calls["__post_init__"] == 27
+    assert calls["_iterate"] == 66
+    # One enumeration per distinct distance table for the whole coefficient
+    # grid: one per space made 6 + 6, one per space and tuple 6 + 60.
     assert per_sweep == {
-        "contraction-theorem-exhaustive": (6, 6),
-        "two-coefficient-theorem-exhaustive": (6, 6),
+        "contraction-theorem-exhaustive": (6, 2),
+        "two-coefficient-theorem-exhaustive": (6, 2),
     }
     # The key count is exact because each leaf reads all n^2 of its pairs:
-    # all 834 are the sweep's.  check_kannan, no longer called, added 465
-    # by building the 33 verified maps' keys once more.
-    assert calls["_kannan_terms"] == 834
-    # Each of the pass's 174 distinct Kannan keys is decided once, for the
-    # whole grid: deciding each under each of the ten tuples made 1,740.
-    assert calls["_kannan"] == 174
+    # all 278 are the sweep's.  Each space swept made 834, one enumeration
+    # per space and tuple 6,996.
+    assert calls["_kannan_terms"] == 278
+    # Each of the two tables' 58 distinct Kannan keys is decided once, for
+    # the whole grid: each space swept made 174, and deciding each key
+    # under each of the ten tuples 1,740.
+    assert calls["_kannan"] == 58
 
 
 @pytest.mark.parametrize("metric", [L1, L2, Lp(3), SHORTEST_PATH], ids=str)
