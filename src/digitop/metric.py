@@ -13,7 +13,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Union
 
 from .exact import ExactValue, RadicalSum, compare, sqrt_exact
@@ -79,17 +78,21 @@ def _square(value):
 class DigitalMetricSpace:
     """A digital image together with a metric.
 
-    Immutable after construction.  The first of :meth:`index_distance`,
-    :attr:`levels` and :attr:`rank` to be asked computes every distance
-    once into one matrix indexed by canonical point position; all three
-    read from it.  Under the shortest-path metric its rows are the
-    image's breadth-first hop counts, which :meth:`distance` reads too.
-    Under l_p the matrix and :meth:`distance` (so :func:`hausdorff` too)
-    read one memo of norms by gap vector, the tuple of |x_i - y_i| in
-    coordinate order, so the space evaluates each gap vector once.
-    ``verdicts`` keeps the checkers' decisions by level.  Two threads
-    racing to build the matrix or the memo store equal values, so
-    neither needs a lock.
+    Immutable after construction; :attr:`comparison_tolerance` is decided
+    there.  The first read of :meth:`index_distance`, :attr:`levels` or
+    :attr:`rank` builds all three in one pass: one matrix of every
+    distance, indexed by canonical point position; ``levels``, the
+    distinct distances ascending (the order :func:`compare` decides on
+    exact values, plain on mpf values; l_2 levels sort by their squares,
+    in integers, with no radical sign to decide); and ``rank[i][j]``, the
+    level of the distance between positions i and j.  Under the
+    shortest-path metric the matrix's rows are the image's breadth-first
+    hop counts, which :meth:`distance` reads too.  Under l_p the matrix
+    and :meth:`distance` (so :func:`hausdorff` too) read one memo of norms
+    by gap vector, the tuple of |x_i - y_i| in coordinate order, so the
+    space evaluates each gap vector once.  ``verdicts`` keeps the
+    checkers' decisions by level.  Two threads racing to build the tables
+    or the memo store equal values, so neither needs a lock.
     """
 
     def __init__(self, image: DigitalImage, metric: MetricSpec = L1):
@@ -101,6 +104,8 @@ class DigitalMetricSpace:
         self._metric = metric
         self._norms: dict = {}
         self.verdicts: dict = {}
+        exact = isinstance(metric, ShortestPath) or metric.p in (1, 2)
+        self._tolerance = None if exact else LP_FLOAT_TOLERANCE
 
     @property
     def image(self) -> DigitalImage:
@@ -123,9 +128,7 @@ class DigitalMetricSpace:
     @property
     def comparison_tolerance(self) -> Fraction | None:
         """None when verdicts are exact; a tolerance in the float regime."""
-        if isinstance(self._metric, Lp) and self._metric.p not in (1, 2):
-            return LP_FLOAT_TOLERANCE
-        return None
+        return self._tolerance
 
     def distance(self, x, y):
         """Metric distance between two points of the space."""
@@ -162,13 +165,25 @@ class DigitalMetricSpace:
             self._norms[gaps] = value
         return value
 
-    @cached_property
-    def _matrix(self) -> tuple[tuple, ...]:
-        if isinstance(self._metric, ShortestPath):
-            rows = map(self._image.hops, range(len(self)))
-            return tuple(tuple(map(row.__getitem__, range(len(self)))) for row in rows)
-        pts, norm = self._image.points, self._norm
-        return tuple(tuple(norm(_gaps(x, y)) for y in pts) for x in pts)
+    def __getattr__(self, name: str):
+        """The distance matrix, levels and rank, built together in one pass
+        when the first of them is read; later reads find them directly."""
+        if name not in ("_matrix", "levels", "rank"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n, metric = len(self), self._metric
+        if isinstance(metric, ShortestPath):
+            rows = map(self._image.hops, range(n))
+            matrix = tuple(tuple(map(row.__getitem__, range(n))) for row in rows)
+        else:
+            pts, norm = self._image.points, self._norm
+            matrix = tuple(tuple(norm(_gaps(x, y)) for y in pts) for x in pts)
+        values = dict.fromkeys(itertools.chain.from_iterable(matrix))
+        exact_l2 = isinstance(metric, Lp) and metric.p == 2
+        levels = tuple(sorted(values, key=_square if exact_l2 else None))
+        level = {value: k for k, value in enumerate(levels)}
+        rank = tuple(tuple(map(level.__getitem__, row)) for row in matrix)
+        self.__dict__.update(_matrix=matrix, levels=levels, rank=rank)
+        return self.__dict__[name]
 
     def index_distance(self, i: int, j: int):
         """Distance between the points at canonical positions i and j.
@@ -177,20 +192,6 @@ class DigitalMetricSpace:
         validated, and the value is read from the distance matrix.
         """
         return self._matrix[i][j]
-
-    @cached_property
-    def levels(self) -> tuple:
-        """The distinct distances, ascending: the order :func:`compare`
-        decides on exact values, plain on mpf values.  l_2 levels sort by
-        their squares, in integers, with no radical sign to decide."""
-        values = dict.fromkeys(itertools.chain.from_iterable(self._matrix))
-        return tuple(sorted(values, key=_square if self._metric == L2 else None))
-
-    @cached_property
-    def rank(self) -> tuple[tuple[int, ...], ...]:
-        """rank[i][j]: the level of the distance between positions i and j."""
-        level = {value: k for k, value in enumerate(self.levels)}
-        return tuple(tuple(map(level.__getitem__, row)) for row in self._matrix)
 
     def describe(self) -> str:
         return f"{self._image.describe()}, metric {self._metric}"

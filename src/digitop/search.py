@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -34,7 +35,7 @@ from .mapkit import (
     enumerate_tables,
     validate_selfmap,
 )
-from .metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, MetricSpec
+from .metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, MetricSpec, ShortestPath
 from .space import C1, C2, Adjacency, DigitalImage, digital_interval
 
 DEFAULT_PARAM_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -271,19 +272,37 @@ def _scan_image(a: int, b: int, adj: Adjacency) -> DigitalImage:
     return DigitalImage([(i, j) for i in range(a) for j in range(b)] if b else range(a), adj)
 
 
-def _scan_universe(size_bound: int, one_dimensional_only: bool) -> Iterator[DigitalImage]:
-    """The deterministic scan universe, lazily (a search the budget stops builds
-    no later image): intervals [0, n-1]_Z, then grids in Z^2 under c_1 and c_2."""
-    yield from (_scan_image(n, 0, C1) for n in range(1, size_bound + 1))
+def _table_class(a: int, b: int, adj: Adjacency, metric: MetricSpec) -> tuple:
+    """A key of the space _scan_image(a, b, adj) under metric, one of
+    _METRICS, named before any distance is built: two scan spaces have
+    equal keys exactly when they have equal _tables.  On an interval l1,
+    l2 and the word metric are all |i - j|.  On a full grid l1 and l2 read
+    no adjacency and the c1 word metric is l1, so each grid has three
+    classes: l1 (with the c1 word metric), l2 and the c2 word metric.
+    This holds only for the scan universe: on other images these metrics
+    need not agree."""
+    if not b:
+        return a, 0, "l1"
+    if isinstance(metric, ShortestPath):
+        return a, b, "l1" if adj.u == 1 else "c2 word"
+    return a, b, "l2" if metric.p == 2 else "l1"
+
+
+def _scan_shapes(size_bound: int, one_dimensional_only: bool) -> Iterator[tuple]:
+    """The deterministic scan universe as _scan_image's (a, b, adj), lazily
+    (a search the budget stops builds no later image): intervals
+    [0, n-1]_Z, then grids in Z^2 under c_1 and c_2."""
+    yield from ((n, 0, C1) for n in range(1, size_bound + 1))
     if not one_dimensional_only:
         for a in range(2, size_bound + 1):
             for b in range(a, size_bound // a + 1):
-                yield from (_scan_image(a, b, adj) for adj in (C1, C2))
+                yield from ((a, b, adj) for adj in (C1, C2))
 
 
 def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
     """The scan universe of find_counterexample, as a tuple."""
-    return tuple(_scan_universe(size_bound, one_dimensional_only))
+    shapes = _scan_shapes(size_bound, one_dimensional_only)
+    return tuple(itertools.starmap(_scan_image, shapes))
 
 
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
@@ -292,8 +311,9 @@ _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
 def _table(space: DigitalMetricSpace) -> tuple:
     """All a search or a sweep reads of a space besides its positions: its
     tolerance, levels and rank.  Spaces with equal tables have equal
-    distances at equal positions (on an interval l1, l2 and the word
-    metric agree), so they give equal results."""
+    distances at equal positions, so they give equal results.  The
+    theorem sweeps key their spaces by it; a search names its spaces'
+    tables by _table_class, before building them."""
     return space.comparison_tolerance, space.levels, space.rank
 
 
@@ -336,6 +356,26 @@ def _hits(lanes: Lanes, counts: dict, at) -> int:
     return hits
 
 
+def _param_lanes(name: str, raw) -> tuple[tuple, tuple, list]:
+    """A search's parameter grid as Fractions (a Fraction is kept, any
+    other value converted), its distinct values loosest first (the lanes'
+    values) and each grid position's lane.  Checked, deduplicated and
+    ordered on numerators and denominators: no Fraction is hashed or
+    compared."""
+    grid = tuple(map(contracts._fraction, raw))
+    if not grid:
+        raise ValueError("parameter grid must not be empty")
+    for v in grid:
+        if not 0 <= v.numerator < v.denominator:  # denominators are positive
+            raise ValueError(f"{name} grid value {v} outside [0, 1)")
+    pairs = [(v.numerator, v.denominator) for v in grid]
+    distinct = dict(zip(pairs, grid))
+    scale = math.lcm(*(den for _, den in distinct))
+    order = sorted(distinct, key=lambda q: q[0] * (scale // q[1]), reverse=True)
+    lane = {q: k for k, q in enumerate(order)}
+    return grid, tuple(map(distinct.__getitem__, order)), [lane[q] for q in pairs]
+
+
 def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) -> SearchOutcome:
     """Scan every space/metric/parameter/map combination up to
     size_bound for a hypothesis-true, conclusion-false instance.
@@ -353,10 +393,11 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     table's lanes give its hits at every grid position.  After a
     conclusion-false table at position p only earlier positions stay live.
     verify() replays a witness through the checker's memo for its one
-    value, not the grid memo the search filled.  Spaces with equal
-    _tables (on an interval, all three metrics) are enumerated once: a
-    later one adds the hits of the first, which had no witness, since a
-    witness ends the search in the space where it is found.
+    value, not the grid memo the search filled.  The spaces of one
+    _table_class (equal _tables: on an interval, all three metrics) are
+    built and enumerated once: a later one builds no distances and adds
+    the hits of the first, which had no witness, since a witness ends the
+    search in the space where it is found.
 
     Deterministic: the first witness in (space, grid position, table)
     order is returned.  Raises EnumerationBudgetError, naming the space,
@@ -372,32 +413,26 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         raise ValueError("size_bound must be at least 1")
     if spec.param is None:
         grid: tuple[Fraction | None, ...] = (None,)
+        values, lane = grid, [0]
     else:
-        raw = DEFAULT_PARAM_GRID if param_grid is None else tuple(param_grid)
-        grid = tuple(Fraction(v) for v in raw)
-        for v in grid:
-            if not 0 <= v < 1:
-                raise ValueError(f"{spec.param} grid value {v} outside [0, 1)")
-        if not grid:
-            raise ValueError("parameter grid must not be empty")
-    # The lanes' values, loosest first, and each grid position's lane.
-    values = tuple(sorted(set(grid), reverse=True))
-    lane = [values.index(v) for v in grid]
+        raw = DEFAULT_PARAM_GRID if param_grid is None else param_grid
+        grid, values, lane = _param_lanes(spec.param, raw)
     concludes, holds_on = spec.concludes, spec.holds_on
     scanned = 0
     hits = 0
     spaces = 0
-    found = {}  # the hits of each table enumerated: all witness-free
-    for img in _scan_universe(size_bound, spec.one_dimensional_only):
+    found = {}  # the hits of each table class enumerated: all witness-free
+    for shape in _scan_shapes(size_bound, spec.one_dimensional_only):
+        img = _scan_image(*shape)
         n, size = len(img), len(img) ** (spec.arity * len(img))
         for metric in _METRICS:
-            space = DigitalMetricSpace(img, metric)
             spaces += 1
-            table = _table(space)
+            table = _table_class(*shape, metric)
             if table in found:
                 hits += found[table]
                 scanned += len(grid) * size
                 continue
+            space = DigitalMetricSpace(img, metric)
             lanes = Lanes((), n, len(values))
             pruned = (spec.condition, values, spec.within, spec.increasing)
             tables = _sweep(space, spec.arity, *pruned, lanes)

@@ -20,15 +20,21 @@ constant below 1 force a fixed point on a finite space, and the only
 strictly increasing self-map of a finite interval is the identity.
 """
 
+import itertools
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
+from digitop import search
 from digitop.mapkit import EnumerationBudgetError, SelfMap
+from digitop.metric import DigitalMetricSpace
 from digitop.search import (
     ASSERTIONS,
     COUNTEREXAMPLE,
@@ -93,11 +99,84 @@ def test_param_grid_validation():
         find_counterexample("quasi-fixed-point", param_grid=[Fraction(3, 2)])
     with pytest.raises(ValueError):
         find_counterexample("quasi-fixed-point", param_grid=[])
+    # Any value Fraction takes is converted; the outcome carries Fractions.
+    for value, expected in (("1/4", Fraction(1, 4)), (0, Fraction(0)), (0.25, Fraction(1, 4))):
+        o = find_counterexample("dominated-common-fix", size_bound=2, param_grid=[value])
+        assert o.status == COUNTEREXAMPLE
+        assert o.param_grid == (expected,) and type(o.param) is Fraction
+        assert o.param == expected
+    for value, shown in ((Fraction(-1, 4), "-1/4"), (Fraction(1), "1"), (True, "1")):
+        message = f"r grid value {shown} outside [0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_counterexample("quasi-fixed-point", param_grid=[Fraction(1, 2), value])
+    # A duplicated, unsorted grid has its sorted copy's lanes; with 1/4 first
+    # in both, the witness, its value and the counts are the same, on a
+    # witness search and on an exhaustion.
+    grid = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
+    for assertion in ("dominated-common-fix", "quasi-fixed-point"):
+        a = find_counterexample(assertion, 4, grid)
+        b = find_counterexample(assertion, 4, sorted(grid))
+        assert a.param_grid == grid and b.param_grid == tuple(sorted(grid))
+        assert (a.status, a.param, a.stats) == (b.status, b.param, b.stats)
+        assert [m.values for m in a.maps] == [m.values for m in b.maps]
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=Fraction(999, 1000)), min_size=1))
+def test_the_grid_lanes_order_the_distinct_values_loosest_first(grid):
+    values = tuple(sorted(set(grid), reverse=True))
+    assert search._param_lanes("r", grid) == (
+        tuple(grid),
+        values,
+        [values.index(v) for v in grid],
+    )
 
 
 def test_outcome_invariant():
     with pytest.raises(ValueError):
         SearchOutcome("quasi-fixed-point", COUNTEREXAMPLE, 2, DEFAULT_PARAM_GRID)
+
+
+# -- table classes -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "size_bound, spaces, classes", ((3, 9, 3), (4, 18, 7), (5, 21, 8), (9, 51, 21))
+)
+def test_scan_spaces_share_a_table_class_exactly_when_their_tables_are_equal(
+    size_bound, spaces, classes
+):
+    shapes = list(search._scan_shapes(size_bound, False))
+    assert tuple(itertools.starmap(search._scan_image, shapes)) == small_connected_images(
+        size_bound
+    )
+    named = [search._table_class(*shape, m) for shape in shapes for m in search._METRICS]
+    tables = [
+        search._table(DigitalMetricSpace(search._scan_image(*shape), m))
+        for shape in shapes
+        for m in search._METRICS
+    ]
+    # One partition: as many classes as tables, and as many of either as
+    # (class, table) pairs.
+    assert len(named) == spaces
+    assert len(set(named)) == len(set(tables)) == len(set(zip(named, tables))) == classes
+
+
+@pytest.mark.parametrize(
+    "assertion, status, built, spaces",
+    (("dominated-common-fix", COUNTEREXAMPLE, 2, 4), ("quasi-fixed-point", EXHAUSTED, 8, 21)),
+)
+def test_a_search_builds_one_space_per_table_class(assertion, status, built, spaces, monkeypatch):
+    made = []
+
+    def counted(img, metric):
+        made.append((img, metric))
+        return DigitalMetricSpace(img, metric)
+
+    monkeypatch.setattr(search, "DigitalMetricSpace", counted)
+    outcome = find_counterexample(assertion, 5)
+    assert outcome.status == status
+    assert len(made) == built
+    assert outcome.stats["space_metric_combinations"] == spaces
 
 
 # -- frozen search outcomes ------------------------------------------
