@@ -35,7 +35,7 @@ from .mapkit import (
     enumerate_tables,
     validate_selfmap,
 )
-from .metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, MetricSpec, ShortestPath
+from .metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, MetricSpec
 from .space import C1, C2, Adjacency, DigitalImage, digital_interval
 
 DEFAULT_PARAM_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -273,19 +273,22 @@ def _scan_image(a: int, b: int, adj: Adjacency) -> DigitalImage:
 
 
 def _table_class(a: int, b: int, adj: Adjacency, metric: MetricSpec) -> tuple:
-    """A key of the space _scan_image(a, b, adj) under metric, one of
-    _METRICS, named before any distance is built: two scan spaces have
-    equal keys exactly when they have equal _tables.  On an interval l1,
-    l2 and the word metric are all |i - j|.  On a full grid l1 and l2 read
-    no adjacency and the c1 word metric is l1, so each grid has three
-    classes: l1 (with the c1 word metric), l2 and the c2 word metric.
-    This holds only for the scan universe: on other images these metrics
-    need not agree."""
-    if not b:
-        return a, 0, "l1"
-    if isinstance(metric, ShortestPath):
-        return a, b, "l1" if adj.u == 1 else "c2 word"
-    return a, b, "l2" if metric.p == 2 else "l1"
+    """The key of the space _scan_image(a, b, adj) under metric, named
+    before any distance is built: scan spaces with equal keys have equal
+    distance tables (tolerance, levels and rank), so they give equal
+    results.  On an interval l1, l2 and the word metric are all |i - j|.
+    On a full grid l1 and l2 read no adjacency and the c1 word metric is
+    l1, so each grid has three classes under _METRICS: l1 (with the c1
+    word metric), l2 and the c2 word metric.  Any other metric, such as
+    an l_p decided with a tolerance, is its own class.  The metrics of
+    _METRICS are told apart by identity, which costs a search no Fraction
+    comparison.  This holds only for the scan universe: on other images
+    these metrics need not agree."""
+    if metric is SHORTEST_PATH:
+        return a, b, "l1" if not b or adj.u == 1 else "c2 word"
+    if metric is L1 or metric is L2:
+        return a, b, "l2" if b and metric is L2 else "l1"
+    return a, b, metric
 
 
 def _scan_shapes(size_bound: int, one_dimensional_only: bool) -> Iterator[tuple]:
@@ -308,13 +311,18 @@ def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
 
 
-def _table(space: DigitalMetricSpace) -> tuple:
-    """All a search or a sweep reads of a space besides its positions: its
-    tolerance, levels and rank.  Spaces with equal tables have equal
-    distances at equal positions, so they give equal results.  The
-    theorem sweeps key their spaces by it; a search names its spaces'
-    tables by _table_class, before building them."""
-    return space.comparison_tolerance, space.levels, space.rank
+def _per_table(combos, work: Callable) -> Iterator:
+    """work(space) for each (shape, metric) pair of combos, in order and
+    lazily: the first pair of each _table_class builds its space on
+    _scan_image(*shape) and runs work; each later pair of that class
+    builds nothing and yields the stored result again.  The store lasts as
+    long as the iteration, so a caller that stops builds no later space."""
+    done = {}
+    for shape, metric in combos:
+        key = _table_class(*shape, metric)
+        if key not in done:
+            done[key] = work(DigitalMetricSpace(_scan_image(*shape), metric))
+        yield done[key]
 
 
 def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
@@ -394,10 +402,10 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     conclusion-false table at position p only earlier positions stay live.
     verify() replays a witness through the checker's memo for its one
     value, not the grid memo the search filled.  The spaces of one
-    _table_class (equal _tables: on an interval, all three metrics) are
-    built and enumerated once: a later one builds no distances and adds
-    the hits of the first, which had no witness, since a witness ends the
-    search in the space where it is found.
+    _table_class (on an interval, all three metrics) are built and
+    enumerated once (_per_table): a later one builds no distances and
+    adds the first one's instances and hits, which had no witness, since
+    a witness ends the search in the space where it is found.
 
     Deterministic: the first witness in (space, grid position, table)
     order is returned.  Raises EnumerationBudgetError, naming the space,
@@ -418,67 +426,57 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         raw = DEFAULT_PARAM_GRID if param_grid is None else param_grid
         grid, values, lane = _param_lanes(spec.param, raw)
     concludes, holds_on = spec.concludes, spec.holds_on
-    scanned = 0
-    hits = 0
-    spaces = 0
-    found = {}  # the hits of each table class enumerated: all witness-free
-    for shape in _scan_shapes(size_bound, spec.one_dimensional_only):
-        img = _scan_image(*shape)
-        n, size = len(img), len(img) ** (spec.arity * len(img))
-        for metric in _METRICS:
-            spaces += 1
-            table = _table_class(*shape, metric)
-            if table in found:
-                hits += found[table]
-                scanned += len(grid) * size
+    pruned = (spec.condition, values, spec.within, spec.increasing)
+
+    def scan(space):
+        """The space's instances scanned and hypothesis hits, and its
+        witness (space, t, position) or None: a witness ends the scan."""
+        n = len(space)
+        lanes = Lanes((), n, len(values))
+        tables = _sweep(space, spec.arity, *pruned, lanes)
+        # Tables by their set of lanes.  Past a witness at position p, past
+        # is the set of the lanes before the loosest lane of an earlier
+        # position: a table whose set is no larger holds at no earlier
+        # position.
+        counts, p, witness, past = dict.fromkeys(lanes.upto[1:], 0), len(grid), None, 0
+        for t in tables:
+            if holds_on and not holds_on(space, t) or (held := lanes.sets[-2]) <= past:
                 continue
-            space = DigitalMetricSpace(img, metric)
-            lanes = Lanes((), n, len(values))
-            pruned = (spec.condition, values, spec.within, spec.increasing)
-            tables = _sweep(space, spec.arity, *pruned, lanes)
-            # Tables by their set of lanes.  Past a witness at position p,
-            # past is the set of the lanes before the loosest lane of an
-            # earlier position: a table whose set is no larger holds at no
-            # earlier position.
-            counts, p, witness, past = dict.fromkeys(lanes.upto[1:], 0), len(grid), None, 0
-            for t in tables:
-                if holds_on and not holds_on(space, t) or (held := lanes.sets[-2]) <= past:
-                    continue
-                counts[held] += 1
-                if not concludes(n, t):
-                    # The first position it holds at: only earlier ones can
-                    # still hold an earlier witness.
-                    m = lanes.size(held)
-                    p = next(c for c in range(p) if lane[c] < m)
-                    witness = list(t), _hits(lanes, counts, lane[p : p + 1])
-                    if not p:
-                        break
-                    past = lanes.upto[min(lane[:p])]
-            if witness is not None:
-                t, seen = witness
-                rank = functools.reduce(lambda r, v: r * n + v, t)
-                return SearchOutcome(
-                    assertion,
-                    COUNTEREXAMPLE,
-                    size_bound,
-                    tuple(v for v in grid if v is not None),
-                    space=space,
-                    maps=_maps(img, t),
-                    param=grid[p],
-                    stats={
-                        "instances_scanned": scanned + p * size + rank + 1,
-                        "hypothesis_hits": hits + _hits(lanes, counts, lane[:p]) + seen,
-                        "space_metric_combinations": spaces,
-                    },
-                )
-            found[table] = _hits(lanes, counts, lane)
-            hits += found[table]
-            scanned += len(grid) * size
+            counts[held] += 1
+            if not concludes(n, t):
+                # The first position it holds at: only earlier ones can
+                # still hold an earlier witness.
+                m = lanes.size(held)
+                p = next(c for c in range(p) if lane[c] < m)
+                witness = list(t), _hits(lanes, counts, lane[p : p + 1])
+                if not p:
+                    break
+                past = lanes.upto[min(lane[:p])]
+        size = n ** (spec.arity * n)
+        if witness is None:
+            return len(grid) * size, _hits(lanes, counts, lane), None
+        t, seen = witness
+        rank = functools.reduce(lambda r, v: r * n + v, t)
+        return p * size + rank + 1, _hits(lanes, counts, lane[:p]) + seen, (space, t, p)
+
+    scanned = hits = spaces = 0
+    status, found = EXHAUSTED, {}
+    combos = itertools.product(_scan_shapes(size_bound, spec.one_dimensional_only), _METRICS)
+    for space_scanned, space_hits, witness in _per_table(combos, scan):
+        spaces += 1
+        scanned += space_scanned
+        hits += space_hits
+        if witness is not None:
+            space, t, p = witness
+            status = COUNTEREXAMPLE
+            found = {"space": space, "maps": _maps(space.image, t), "param": grid[p]}
+            break
     return SearchOutcome(
         assertion,
-        EXHAUSTED,
+        status,
         size_bound,
         tuple(v for v in grid if v is not None),
+        **found,
         stats={
             "instances_scanned": scanned,
             "hypothesis_hits": hits,
@@ -536,63 +534,59 @@ _TALLY = {
 }
 
 
-def _interval_spaces(*sizes: int) -> list[DigitalMetricSpace]:
-    """Fresh spaces on the intervals of these sizes, under each scan metric."""
-    images = [digital_interval(0, n - 1) for n in sizes]
-    return [DigitalMetricSpace(img, metric) for img in images for metric in _METRICS]
+def _theorem_sweep(name: str, combos, cond, grid: tuple, verify: Callable) -> SuiteEntry:
+    """Tally verify(space, f, *coeffs) over every self-map f of each space
+    of combos, (shape, metric) pairs, for each coefficient tuple of grid,
+    cond's row deciding the hypothesis: bit c of a key's verdict holds
+    under grid[c].  One enumeration per space keeps the maps whose every
+    pair holds for some tuple; each leaf is verified, as one SelfMap,
+    under the tuples that hold on all its pairs, in grid order.  Every
+    (table, tuple) left out fails the hypothesis.  Each _table_class is
+    built and enumerated once (_per_table): a later pair of the class
+    adds the first one's tally again."""
 
+    def sweep(space):
+        n, rank, terms = len(space), space.rank, cond.terms
+        holds = contracts.verdicts(space, cond, grid)
+        tally = dict.fromkeys(_TALLY.values(), 0)
+        for t in _sweep(space, 1, cond, grid):
+            mask = (1 << len(grid)) - 1
+            for i, j in itertools.product(range(n), repeat=2):
+                mask &= holds[terms(rank, t, i, j)]
+            if not mask:
+                continue
+            f = _maps(space.image, t)
+            for c, coeffs in enumerate(grid):
+                if mask >> c & 1:
+                    tally[_TALLY[verify(space, *f, *coeffs).conclusion]] += 1
+        tally["hypothesis_failed"] += n**n * len(grid) - sum(tally.values())
+        return tally
 
-def _theorem_sweep(name: str, spaces, cond, grid: tuple, verify: Callable) -> SuiteEntry:
-    """Tally verify(space, f, *coeffs) over every self-map f of each space,
-    for each coefficient tuple of grid, cond's row deciding the hypothesis:
-    bit c of a key's verdict holds under grid[c].  One enumeration per
-    space keeps the maps whose every pair holds for some tuple; each leaf
-    is verified, as one SelfMap, under the tuples that hold on all its
-    pairs, in grid order.  Every (table, tuple) left out fails the
-    hypothesis.  Each distinct _table is enumerated once: a space whose
-    table an earlier one had adds that space's tally again."""
-    counts = {"confirmed": 0, "hypothesis_failed": 0, "refuted": 0}
-    tallies = {}
-    for space in spaces:
-        table = _table(space)
-        if table not in tallies:
-            n, rank, terms = len(space), space.rank, cond.terms
-            holds = contracts.verdicts(space, cond, grid)
-            tally = tallies[table] = dict.fromkeys(counts, 0)
-            for t in _sweep(space, 1, cond, grid):
-                mask = (1 << len(grid)) - 1
-                for i, j in itertools.product(range(n), repeat=2):
-                    mask &= holds[terms(rank, t, i, j)]
-                if not mask:
-                    continue
-                f = _maps(space.image, t)
-                for c, coeffs in enumerate(grid):
-                    if mask >> c & 1:
-                        tally[_TALLY[verify(space, *f, *coeffs).conclusion]] += 1
-            tally["hypothesis_failed"] += n**n * len(grid) - sum(tally.values())
-        for key, k in tallies[table].items():
+    counts = dict.fromkeys(_TALLY.values(), 0)
+    for tally in _per_table(combos, sweep):
+        for key, k in tally.items():
             counts[key] += k
     return SuiteEntry(name, counts["refuted"] == 0, counts)
 
 
-def _suite_contraction(spaces) -> SuiteEntry:
+def _suite_contraction(combos) -> SuiteEntry:
     # The grid is one empty tuple, so the memo's bools are one-bit masks.
     name, cond = "contraction-theorem-exhaustive", contracts.STRICT_CONTRACTION
-    return _theorem_sweep(name, spaces, cond, ((),), fixpoint.banach_verify)
+    return _theorem_sweep(name, combos, cond, ((),), fixpoint.banach_verify)
 
 
 _EIGHTHS = tuple(Fraction(i, 8) for i in range(4))
 _KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fraction(1, 2))
 
 
-def _suite_two_coefficient(spaces, grid=_KANNAN_GRID) -> SuiteEntry:
+def _suite_two_coefficient(combos, grid=_KANNAN_GRID) -> SuiteEntry:
     name = "two-coefficient-theorem-exhaustive"
 
     def verify(space, t, a, b):
         # The mask decided the hypothesis: check_kannan's report, had it run.
         return fixpoint._kannan_conclusion(space, t, contracts._report(space, None), a, b)
 
-    return _theorem_sweep(name, spaces, contracts.KANNAN, grid, verify)
+    return _theorem_sweep(name, combos, contracts.KANNAN, grid, verify)
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:
@@ -672,20 +666,18 @@ def _suite_rational_ill_definedness() -> SuiteEntry:
     return SuiteEntry("rational-condition-ill-definedness", ok, evidence)
 
 
-def _suite_sum_bound_constancy(spaces, xi=Fraction(1, 2)) -> SuiteEntry:
+def _suite_sum_bound_constancy(combos, xi=Fraction(1, 2)) -> SuiteEntry:
     # The narrowing checks the bound on every pair: it admits exactly the
-    # pairs meeting it.  Each distinct _table is swept once.
-    pairs, all_constant, swept = 0, True, {}
-    for space in spaces:
-        table = _table(space)
-        if table not in swept:
-            n, count, constant = len(space), 0, True
-            for t in _sweep(space, 2, SUM_BOUND, (xi,)):
-                count += 1
-                constant &= len(set(t[:n])) == len(set(t[n:])) == 1
-            swept[table] = count, constant
-        pairs += swept[table][0]
-        all_constant &= swept[table][1]
+    # pairs meeting it.  Each _table_class is swept once (_per_table).
+    def sweep(space):
+        n, count, constant = len(space), 0, True
+        for t in _sweep(space, 2, SUM_BOUND, (xi,)):
+            count += 1
+            constant &= len(set(t[:n])) == len(set(t[n:])) == 1
+        return count, constant
+
+    counts, constants = zip(*_per_table(combos, sweep))
+    pairs, all_constant = sum(counts), all(constants)
     img = digital_interval(0, 1)
     space = DigitalMetricSpace(img, L2)
     j = SelfMap.constant(img, 0)
@@ -742,7 +734,7 @@ def verify_paper_suite() -> SuiteReport:
     Deterministic: two runs produce identical reports.  Failures are
     report content, never exceptions.
     """
-    intervals = _interval_spaces(3, 4)
+    intervals = list(itertools.product(((3, 0, C1), (4, 0, C1)), _METRICS))
     return SuiteReport(
         (
             _suite_contraction(intervals),
@@ -752,7 +744,7 @@ def verify_paper_suite() -> SuiteReport:
             _suite_affine_counterexample(),
             _suite_compatibility(),
             _suite_rational_ill_definedness(),
-            _suite_sum_bound_constancy(_interval_spaces(1, 2, 3)),
+            _suite_sum_bound_constancy(itertools.product(_scan_shapes(3, True), _METRICS)),
             _suite_non_integer_rejection(),
             _suite_fpp(),
         )

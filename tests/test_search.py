@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from digitop import search
 from digitop.mapkit import EnumerationBudgetError, SelfMap
-from digitop.metric import DigitalMetricSpace
+from digitop.metric import DigitalMetricSpace, Lp
 from digitop.search import (
     ASSERTIONS,
     COUNTEREXAMPLE,
@@ -149,16 +149,33 @@ def test_scan_spaces_share_a_table_class_exactly_when_their_tables_are_equal(
     assert tuple(itertools.starmap(search._scan_image, shapes)) == small_connected_images(
         size_bound
     )
-    named = [search._table_class(*shape, m) for shape in shapes for m in search._METRICS]
-    tables = [
-        search._table(DigitalMetricSpace(search._scan_image(*shape), m))
-        for shape in shapes
-        for m in search._METRICS
-    ]
+    named, tables = keys_and_tables(shapes, search._METRICS)
     # One partition: as many classes as tables, and as many of either as
     # (class, table) pairs.
     assert len(named) == spaces
     assert len(set(named)) == len(set(tables)) == len(set(zip(named, tables))) == classes
+
+
+def keys_and_tables(shapes, metrics) -> tuple[list, list]:
+    """Each scan space's _table_class and its distance table: all a search
+    or a sweep reads of a space besides its points."""
+    named, tables = [], []
+    for shape, m in itertools.product(shapes, metrics):
+        space = DigitalMetricSpace(search._scan_image(*shape), m)
+        named.append(search._table_class(*shape, m))
+        tables.append((space.comparison_tolerance, space.levels, space.rank))
+    return named, tables
+
+
+@pytest.mark.parametrize("size_bound, keys, distinct", ((3, 9, 6), (4, 17, 13), (5, 20, 15)))
+def test_a_tolerance_metric_is_its_own_table_class(size_bound, keys, distinct):
+    # Equal keys mean equal tables; each l_p beyond l1 and l2 is keyed
+    # apart, so the keys split more finely than the tables do.
+    shapes = search._scan_shapes(size_bound, False)
+    metrics = (*search._METRICS, Lp(3), Lp(Fraction(3, 2)))
+    named, tables = keys_and_tables(shapes, metrics)
+    assert len(set(named)) == len(set(zip(named, tables))) == keys
+    assert len(set(tables)) == distinct
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,14 @@ failure.  The loops below are the earlier ones: every self-map (or pair)
 from the product enumerators goes through the verifier.  Whole suite
 entries must agree, on more spaces and coefficients than the suite uses.
 Work counts pin that the suite verifies only hypothesis-true maps,
-enumerates each distinct distance table once for a whole coefficient
+builds and enumerates one space per table class for a whole coefficient
 grid, decides each Kannan key once for the whole grid, hands each
 hypothesis-true (map, tuple) straight to the conclusion step, and builds
 each verified map and its orbits once per distance table.  Each report
 so tallied is the one kannan_verify gives on a fresh space and map.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -23,21 +24,21 @@ from digitop.mapkit import SelfMap, enumerate_selfmaps
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
 from digitop.search import (
     _KANNAN_GRID,
+    _METRICS,
     SuiteEntry,
-    _interval_spaces,
+    _scan_image,
     _suite_contraction,
     _suite_sum_bound_constancy,
     _suite_two_coefficient,
     enumerate_map_pairs,
     verify_paper_suite,
 )
-from digitop.space import C1, C2, DigitalImage, digital_interval
+from digitop.space import C1, C2, digital_interval
 
-IMAGES = [digital_interval(0, n - 1) for n in range(1, 5)] + [
-    DigitalImage([(i, j) for i in range(2) for j in range(2)], adj) for adj in (C1, C2)
-]
-CASES = [(img, metric) for img in IMAGES for metric in (L1, L2, SHORTEST_PATH)]
-IDS = [DigitalMetricSpace(img, metric).describe() for img, metric in CASES]
+# The intervals of 1 to 4 points and the 2x2 grid under c1 and c2, as
+# (shape, metric) pairs of the scan universe.
+SHAPES = [(n, 0, C1) for n in range(1, 5)] + [(2, 2, C1), (2, 2, C2)]
+CASES = list(itertools.product(SHAPES, _METRICS))
 KANNAN_GRIDS = {
     "suite": _KANNAN_GRID,
     "other": (
@@ -56,8 +57,16 @@ KANNAN_GRIDS = {
     ),
 }
 # The tolerance regime, on the images of at most 3 points.
-KANNAN_CASES = CASES + [(img, Lp(3)) for img in IMAGES if len(img) <= 3]
-KANNAN_IDS = [DigitalMetricSpace(img, metric).describe() for img, metric in KANNAN_CASES]
+KANNAN_CASES = CASES + [(shape, Lp(3)) for shape in SHAPES if len(_scan_image(*shape)) <= 3]
+
+
+def fresh(shape, metric):
+    """A new space each time, so a sweep and a loop share no memo."""
+    return DigitalMetricSpace(_scan_image(*shape), metric)
+
+
+def ids(cases):
+    return [fresh(shape, metric).describe() for shape, metric, *_ in cases]
 
 
 def product_loop(spaces, verify_all) -> dict:
@@ -118,24 +127,19 @@ def sum_bound_loop(spaces, xi) -> SuiteEntry:
     )
 
 
-def fresh(img, metric):
-    """A new space each time, so the two sides share no memo."""
-    return [DigitalMetricSpace(img, metric)]
-
-
-@pytest.mark.parametrize("img, metric", CASES, ids=IDS)
-def test_the_contraction_sweep_matches_the_product_loop(img, metric):
-    assert _suite_contraction(fresh(img, metric)) == contraction_loop(fresh(img, metric))
+@pytest.mark.parametrize("shape, metric", CASES, ids=ids(CASES))
+def test_the_contraction_sweep_matches_the_product_loop(shape, metric):
+    assert _suite_contraction([(shape, metric)]) == contraction_loop([fresh(shape, metric)])
 
 
 @pytest.mark.parametrize("grid", KANNAN_GRIDS.values(), ids=KANNAN_GRIDS.keys())
-@pytest.mark.parametrize("img, metric", KANNAN_CASES, ids=KANNAN_IDS)
-def test_the_two_coefficient_sweep_matches_the_product_loop(img, metric, grid, monkeypatch):
-    looped = two_coefficient_loop(fresh(img, metric), grid)
+@pytest.mark.parametrize("shape, metric", KANNAN_CASES, ids=ids(KANNAN_CASES))
+def test_the_two_coefficient_sweep_matches_the_product_loop(shape, metric, grid, monkeypatch):
+    looped = two_coefficient_loop([fresh(shape, metric)], grid)
     calls = Counter()
     for name in ("kannan_verify", "_kannan_conclusion"):
         monkeypatch.setattr(fixpoint, name, counting(calls, name, getattr(fixpoint, name)))
-    assert _suite_two_coefficient(fresh(img, metric), grid) == looped
+    assert _suite_two_coefficient([(shape, metric)], grid) == looped
     # Only the hypothesis-true (map, tuple) instances reach the conclusion
     # step, and none is decided again by kannan_verify.
     hits = looped.evidence["confirmed"] + looped.evidence["refuted"]
@@ -143,8 +147,8 @@ def test_the_two_coefficient_sweep_matches_the_product_loop(img, metric, grid, m
 
 
 @pytest.mark.parametrize("grid", KANNAN_GRIDS.values(), ids=KANNAN_GRIDS.keys())
-@pytest.mark.parametrize("img, metric", KANNAN_CASES, ids=KANNAN_IDS)
-def test_each_tallied_report_is_kannan_verify_on_a_fresh_space(img, metric, grid, monkeypatch):
+@pytest.mark.parametrize("shape, metric", KANNAN_CASES, ids=ids(KANNAN_CASES))
+def test_each_tallied_report_is_kannan_verify_on_a_fresh_space(shape, metric, grid, monkeypatch):
     tallied, conclusion = [], fixpoint._kannan_conclusion
 
     def recording(space, t, hypothesis, a, b):
@@ -153,73 +157,89 @@ def test_each_tallied_report_is_kannan_verify_on_a_fresh_space(img, metric, grid
         return report
 
     monkeypatch.setattr(fixpoint, "_kannan_conclusion", recording)
-    entry = _suite_two_coefficient(fresh(img, metric), grid)
+    entry = _suite_two_coefficient([(shape, metric)], grid)
     monkeypatch.undo()
     assert len(tallied) == entry.evidence["confirmed"] + entry.evidence["refuted"]
     for values, a, b, report in tallied:
-        space = DigitalMetricSpace(img, metric)
-        assert report == fixpoint.kannan_verify(space, SelfMap(img, values), a, b), (values, a, b)
+        space = fresh(shape, metric)
+        f = SelfMap(space.image, values)
+        assert report == fixpoint.kannan_verify(space, f, a, b), (values, a, b)
 
 
 # The loop takes about a second per coefficient for the 65,536 pairs of a
 # 4-point space, so the other coefficients stop at 3 points.
-SUM_BOUND_CASES = [(img, metric, Fraction(1, 2)) for img, metric in CASES] + [
-    (img, metric, xi)
-    for img, metric in CASES
-    if len(img) < 4
+SUM_BOUND_CASES = [(shape, metric, Fraction(1, 2)) for shape, metric in CASES] + [
+    (shape, metric, xi)
+    for shape, metric in CASES
+    if len(_scan_image(*shape)) < 4
     for xi in (Fraction(1, 3), Fraction(9, 10))
 ]
 
 
 @pytest.mark.parametrize(
-    "img, metric, xi",
+    "shape, metric, xi",
     SUM_BOUND_CASES,
-    ids=[f"{DigitalMetricSpace(img, m).describe()}-{xi}" for img, m, xi in SUM_BOUND_CASES],
+    ids=[f"{name}-{xi}" for name, (*_, xi) in zip(ids(SUM_BOUND_CASES), SUM_BOUND_CASES)],
 )
-def test_the_sum_bound_sweep_matches_the_product_loop(img, metric, xi):
-    swept = _suite_sum_bound_constancy(fresh(img, metric), xi)
-    assert swept == sum_bound_loop(fresh(img, metric), xi)
+def test_the_sum_bound_sweep_matches_the_product_loop(shape, metric, xi):
+    swept = _suite_sum_bound_constancy([(shape, metric)], xi)
+    assert swept == sum_bound_loop([fresh(shape, metric)], xi)
 
 
-def square_spaces():
-    """The 2x2 grid under c1 and c2 and each scan metric: l1 does not read
-    the adjacency, nor l2, and under c1 the word metric is l1, while l1 and
-    l2 rank every pair alike on different levels."""
-    return [DigitalMetricSpace(img, m) for img in IMAGES[4:] for m in (L1, L2, SHORTEST_PATH)]
-
-
-SPACE_SETS = {
-    "intervals": lambda: _interval_spaces(3, 4),
-    "squares": square_spaces,
-}
+# The suite's intervals, and the 2x2 grid under c1 and c2 and each scan
+# metric: l1 does not read the adjacency, nor l2, and under c1 the word
+# metric is l1, while l1 and l2 rank every pair alike on different levels.
+INTERVALS = list(itertools.product(SHAPES[2:4], _METRICS))
+SUM_BOUND_INTERVALS = list(itertools.product(SHAPES[:3], _METRICS))
+SQUARES = CASES[-6:]
 SWEEPS = {"contraction": _suite_contraction, "two-coefficient": _suite_two_coefficient}
 
 
-@pytest.mark.parametrize("spaces", SPACE_SETS.values(), ids=SPACE_SETS.keys())
+@pytest.mark.parametrize("pairs", (INTERVALS, SQUARES), ids=("intervals", "squares"))
 @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
-def test_a_theorem_sweep_is_the_sum_of_its_spaces_swept_alone(sweep, spaces):
-    # Spaces with equal distance tables are swept once: the tally must be
-    # what sweeping each space on its own adds up to.
-    alone = [sweep([space]) for space in spaces()]
+def test_a_theorem_sweep_is_the_sum_of_its_spaces_swept_alone(sweep, pairs):
+    # Pairs of one table class are swept once: the tally must be what
+    # sweeping each pair on its own adds up to.
+    alone = [sweep([pair]) for pair in pairs]
     total = Counter()
     for entry in alone:
         total.update(entry.evidence)
-    entry = sweep(spaces())
+    entry = sweep(pairs)
     assert entry.evidence == dict(total)
     assert entry.passed == all(e.passed for e in alone)
 
 
-@pytest.mark.parametrize(
-    "spaces", (lambda: _interval_spaces(1, 2, 3), square_spaces), ids=("intervals", "squares")
-)
-def test_the_sum_bound_entry_is_the_sum_of_its_spaces_swept_alone(spaces):
-    alone = [_suite_sum_bound_constancy([space]).evidence for space in spaces()]
-    entry = _suite_sum_bound_constancy(spaces())
+@pytest.mark.parametrize("pairs", (SUM_BOUND_INTERVALS, SQUARES), ids=("intervals", "squares"))
+def test_the_sum_bound_entry_is_the_sum_of_its_spaces_swept_alone(pairs):
+    alone = [_suite_sum_bound_constancy([pair]).evidence for pair in pairs]
+    entry = _suite_sum_bound_constancy(pairs)
     assert entry.evidence == {
         "pairs_satisfying_bound": sum(e["pairs_satisfying_bound"] for e in alone),
         "all_satisfying_pairs_constant": all(e["all_satisfying_pairs_constant"] for e in alone),
         "constant_pair_common_fixed_points": 0,
     }
+
+
+def test_the_suite_builds_one_space_per_table_class(monkeypatch):
+    made = []
+
+    def counted(img, metric):
+        made.append((len(img), metric))
+        return DigitalMetricSpace(img, metric)
+
+    monkeypatch.setattr(search, "DigitalMetricSpace", counted)
+    # An interval's three metrics are one class: one space per interval.
+    assert _suite_contraction(INTERVALS).passed and len(made) == 2
+    assert _suite_two_coefficient(INTERVALS).passed and len(made) == 4
+    # Three swept, and the constructed pair's 2-point space under l2.
+    assert _suite_sum_bound_constancy(SUM_BOUND_INTERVALS).passed
+    assert made[4:] == [(1, L1), (2, L1), (3, L1), (2, L2)]
+    # The two theorem sweeps' 2 spaces each, the sum-bound entry's 4, the
+    # two probes' 3 each and 4 for the other entries.  A space per pair
+    # built 26.
+    made.clear()
+    assert verify_paper_suite().passed
+    assert len(made) == 18
 
 
 def counting(calls: Counter, name: str, fn):
