@@ -2,8 +2,8 @@
 
 Every check quantifies over ordered pairs (x, y), diagonal included,
 and reports the lexicographically least violation.  Each pairwise
-condition is one row, Condition(terms, rule): terms gives a pair's level
-key on a table of value positions, and rule decides a key under every
+condition is one row, a Condition: terms gives a pair's level key on a
+table of value positions, and rule decides a key under every
 coefficient of a grid, in the space's memo (verdicts).  A check asks one
 or both of two questions of a map, and both read one table, _keys: the
 map's distinct level keys, each with its first pair.  _witness finds the
@@ -84,22 +84,6 @@ def _unit_fraction(value, name: str) -> Fraction:
     return q
 
 
-class _Arith:
-    """Comparison bound to one space's exactness regime.  Exact regimes
-    scale nothing: a bound with rational coefficients is decided with
-    their denominators cleared."""
-
-    def __init__(self, space: DigitalMetricSpace):
-        self.tol = space.comparison_tolerance
-
-    @property
-    def exact(self) -> bool:
-        return self.tol is None
-
-    def le(self, a, b) -> bool:
-        return compare(a, b, self.tol) <= 0
-
-
 def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
     """f's values as positions in the space's table; f must be a self-map
     of the space's image (its points and adjacency)."""
@@ -111,24 +95,29 @@ def _positions(space: DigitalMetricSpace, f: SelfMap) -> tuple[int, ...]:
 class Condition(NamedTuple):
     """A pairwise condition.  terms(rank, [n,] v, i, j) is the level key
     of the pair of positions (i, j) on a table v of value positions, one
-    map's or two maps' (the first's n, then the second's); rule(ar,
-    levels, key, grid) decides a key under every coefficient of grid: a
-    mask whose bit c is the verdict under grid[c], or, for a rule that
-    reads no coefficient, one bool."""
+    map's or two maps' (the first's n, then the second's); rule(tol,
+    levels, key, grid) decides a key under every coefficient of grid, tol
+    being the space's comparison tolerance (None when exact): a mask whose
+    bit c is the verdict under grid[c], or, for a rule that reads no
+    coefficient, one bool.  An across row's key for (i, j) reads the first
+    map at i and the second at j only, and is not symmetric; any other
+    row's key is symmetric in (i, j)."""
 
     terms: Callable
     rule: Callable
+    across: bool = False
 
 
 class _Verdicts(dict):
-    """rule(ar, levels, key, grid) by level key, decided on first use."""
+    """rule(tol, levels, key, grid) by level key, decided on first use."""
 
     def __init__(self, space: DigitalMetricSpace, rule: Callable, grid: tuple):
         super().__init__()
-        self.ar, self.levels, self.rule, self.grid = _Arith(space), space.levels, rule, grid
+        self.tol, self.levels = space.comparison_tolerance, space.levels
+        self.rule, self.grid = rule, grid
 
     def __missing__(self, key):
-        verdict = self[key] = self.rule(self.ar, self.levels, key, self.grid)
+        verdict = self[key] = self.rule(self.tol, self.levels, key, self.grid)
         return verdict
 
 
@@ -150,28 +139,29 @@ def _lhs(levels: tuple, key):
     return levels[key] if isinstance(key, int) else levels[key[0]] + levels[key[1]]
 
 
-def _bound(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
+def _bound(tol, levels: tuple, key, grid: tuple) -> int:
     """lhs <= coeff * base, keyed by (lhs key, base level), under every
-    coeff of grid: bit c of the mask is the verdict under grid[c]."""
+    coeff of grid: bit c of the mask is the verdict under grid[c].  Exact
+    regimes scale nothing: the coefficient's denominator is cleared."""
     lhs, base, mask = _lhs(levels, key[0]), levels[key[1]], 0
-    if ar.exact:
+    if tol is None:
         for c, coeff in enumerate(grid):
-            if ar.le(coeff.denominator * lhs, coeff.numerator * base):
+            if compare(coeff.denominator * lhs, coeff.numerator * base, tol) <= 0:
                 mask |= 1 << c
     else:
         for c, coeff in enumerate(grid):
-            if ar.le(lhs, scale(coeff, base)):
+            if compare(lhs, scale(coeff, base), tol) <= 0:
                 mask |= 1 << c
     return mask
 
 
-def _strictly_below(ar: _Arith, levels: tuple, key, grid: tuple) -> bool:
+def _strictly_below(tol, levels: tuple, key, grid: tuple) -> bool:
     """Banach's k < 1 on a contraction key: d(fx, fy) below d(x, y), or
     x = y.  Levels ascend, so their indices decide it, with no coefficient."""
     return key[0] < key[1] or key[1] == 0
 
 
-def _kannan(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
+def _kannan(tol, levels: tuple, key, grid: tuple) -> int:
     """Kannan's inequality lhs <= a * (x + y) + b * (u + w) by its five
     levels, each sum's two ascending, under every (a, b) of grid: bit c
     of the mask is the verdict under grid[c].  No coefficient changes the
@@ -179,16 +169,16 @@ def _kannan(ar: _Arith, levels: tuple, key, grid: tuple) -> int:
     lhs, x, y, u, w = (levels[k] for k in key)
     xy, uw, mask = x + y, u + w, 0
     for c, (a, b) in enumerate(grid):
-        if ar.exact:
+        if tol is None:
             da, db = a.denominator, b.denominator
-            holds = ar.le(da * db * lhs, a.numerator * db * xy + b.numerator * da * uw)
+            holds = compare(da * db * lhs, a.numerator * db * xy + b.numerator * da * uw, tol) <= 0
         else:
-            holds = ar.le(lhs, scale(a, xy) + scale(b, uw))
+            holds = compare(lhs, scale(a, xy) + scale(b, uw), tol) <= 0
         mask |= holds << c
     return mask
 
 
-def _rational_bound(ar: _Arith, levels: tuple, key, grid: tuple) -> bool:
+def _rational_bound(tol, levels: tuple, key, grid: tuple) -> bool:
     """The rational bound cross-multiplied, by its five levels
     d(Tx,Sy), d(x,Sy), d(y,Tx), d(x,Tx), d(y,Sy), with no coefficient; it
     holds vacuously where it is undefined, its denominator's two levels
@@ -196,7 +186,7 @@ def _rational_bound(ar: _Arith, levels: tuple, key, grid: tuple) -> bool:
     if not (key[1] or key[2]):
         return True
     lhs, x_sy, y_tx, x_tx, y_sy = (levels[k] for k in key)
-    return ar.le(lhs * (x_sy + y_tx), x_tx * x_sy + y_sy * y_tx)
+    return compare(lhs * (x_sy + y_tx), x_tx * x_sy + y_sy * y_tx, tol) <= 0
 
 
 def _witness(space: DigitalMetricSpace, keys: dict, holds) -> tuple[Point, Point] | None:
@@ -315,7 +305,7 @@ QUASI = Condition(_quasi_terms, _bound)
 FIVE_TERM = Condition(_ciric5_terms, _bound)
 DOMINATION = Condition(_domination_terms, _bound)
 SUM_BOUND = Condition(_saluja_terms, _bound)
-RATIONAL = Condition(_rational_terms, _rational_bound)
+RATIONAL = Condition(_rational_terms, _rational_bound, across=True)
 
 
 def _keys(space: DigitalMetricSpace, cond: Condition, *maps: SelfMap) -> dict:
@@ -404,15 +394,6 @@ def check_saluja(
     return ConstancyReport(report, j.is_constant, k.is_constant)
 
 
-def _rational_holds(space: DigitalMetricSpace, table) -> bool:
-    """Whether the rational bound holds on every defined pair of a two-map
-    table of value positions.  Most tables fail, so it stops at the first
-    failing pair rather than build the table's keys."""
-    key = partial(RATIONAL.terms, space.rank, len(space), table)
-    holds = verdicts(space, RATIONAL, ())
-    return all(holds[key(i, j)] for i, j in itertools.product(range(len(space)), repeat=2))
-
-
 def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> ConditionReport:
     """The rational two-map bound
     d(Tx, Sy) <= [d(x,Tx)d(x,Sy) + d(y,Sy)d(y,Tx)] / [d(x,Sy) + d(y,Tx)].
@@ -434,12 +415,12 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
 
 def weakly_commutative(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> ConditionReport:
     """d(S(T(x)), T(S(x))) <= d(Sx, Tx) for every point x."""
-    ar = _Arith(space)
+    tol = space.comparison_tolerance
     d, sv, tv = space.index_distance, _positions(space, s), _positions(space, t)
     for x, point in enumerate(space.points):
-        if not ar.le(d(sv[tv[x]], tv[sv[x]]), d(sv[x], tv[x])):
-            return ConditionReport(holds=False, witness=(point,), exact=ar.exact)
-    return ConditionReport(holds=True, exact=ar.exact)
+        if compare(d(sv[tv[x]], tv[sv[x]]), d(sv[x], tv[x]), tol) > 0:
+            return ConditionReport(holds=False, witness=(point,), exact=tol is None)
+    return ConditionReport(holds=True, exact=tol is None)
 
 
 def compatible(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> ConditionReport:

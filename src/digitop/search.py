@@ -6,13 +6,13 @@ to a conclusion predicate on the maps' value positions.  A search scans a
 fixed, deterministic universe — digital intervals and small rectangular
 grids, under the taxicab, Euclidean, and word metrics — and either
 returns the first hypothesis-true/conclusion-false witness or an
-exhaustion certificate.  SearchOutcome.verify() replays a witness: it
-runs the public checker and the conclusion on the witness's SelfMaps,
-not the narrowing that found them, but on the search's own space, so the
-space's levels are read again.  The checker decides its verdicts in the
-space's memo for its one parameter value, not in the memo for the whole
-grid that the search filled; only the rational form, which has no
-parameter, reads the memo its search filled.
+exhaustion certificate.  Every hypothesis is a checker's row, which the
+narrowing decides on every pair.  SearchOutcome.verify() replays a
+witness: it runs the public checker and the conclusion on the witness's
+SelfMaps, not the narrowing that found them, but on the search's own
+space, so the space's levels are read again.  No replay reads the memo
+its search filled: the checker's memo is for its one parameter value
+(the empty grid for the rational form), the search's for its grid.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import contracts, fixpoint, mapkit
-from .contracts import DOMINATION, FIVE_TERM, QUASI, SUM_BOUND
+from .contracts import DOMINATION, FIVE_TERM, QUASI, RATIONAL, SUM_BOUND
 from .mapkit import (
     EnumerationBudgetError,
     Lanes,
@@ -101,11 +101,9 @@ class _Assertion:
     param: str | None
     hypothesis: Callable
     concludes: Callable  # (n, t) on a table of value positions, map after map
-    # The checker's row.  With one, the narrowing decides the whole
-    # hypothesis: every complete table enumerated is hypothesis-true.
-    condition: contracts.Condition | None = None
-    # Without one, the hypothesis (space, t) on each table of value positions.
-    holds_on: Callable | None = None
+    # The checker's row: the narrowing decides the whole hypothesis, so
+    # every complete table enumerated is hypothesis-true.
+    condition: contracts.Condition
     within: bool = False  # the second map's values lie among the first's
     increasing: bool = False  # each map's entries rise (on intervals only)
     one_dimensional_only: bool = False
@@ -118,29 +116,33 @@ class _Assertion:
 
 def _narrow(space: DigitalMetricSpace, arity: int, cond, grid: tuple, within: bool, lanes: Lanes):
     """narrow(t, k) for enumerate_tables from a checker's row and the
-    space's memo of its verdicts under grid: each later entry j of the
-    last map keeps, in each of the domains' lanes, the values for which
-    (k, j) holds there (each condition is symmetric; (i, i) has lhs 0;
-    Lanes.holding).  With within, the second map's values lie among the
-    first's.  Rows are kept by (k, t[k]) until the first map changes."""
+    space's memo of its verdicts under grid: the row kept for (k, t[k])
+    gives each later entry j of the last map the values each lane allows
+    by the pair (k, j) (Lanes.holding).  A symmetric row reads k in the
+    last map ((i, i) has lhs 0), and its rows go stale with the first
+    map; an across row reads k in the first map and j - n in the second,
+    every ordered pair.  With within, the second map's values lie among
+    the first's."""
     n, first = len(space), (arity - 1) * len(space)
+    src = 0 if cond.across else first  # the map whose entries give the rows
     key = functools.partial(cond.terms, space.rank, *(n,) * (arity - 1))
     holds = contracts.verdicts(space, cond, grid)
     rows, full, held = {}, lanes.every((1 << n) - 1), lanes.holding()
 
     def narrow(t, k):
-        if k == first - 1:  # the first map is complete: its rows go stale
-            rows.clear()
+        if k == first - 1:  # the first map is complete
+            if src:  # the last map's rows read it: they go stale
+                rows.clear()
             if within:
                 image = sum(1 << v for v in set(t[:first]))
                 return [(j, lanes.every(image)) for j in range(first, len(t))]
-        if k < first:
+        if not src <= k < src + n:
             return ()
         row = rows.get(k * n + t[k])
         if row is None:
             row = rows[k * n + t[k]] = []
-            s, q = t[: k + 1] + [0] * (len(t) - k - 1), k - first
-            for j in range(k + 1, len(s)):
+            s, q = t[: k + 1] + [0] * (len(t) - k - 1), k - src
+            for j in range(max(k + 1, first), len(s)):
                 mask = 0
                 for w in range(n):
                     s[j] = w
@@ -224,8 +226,7 @@ ASSERTIONS: dict[str, _Assertion] = {
             None,
             _hyp_rational,
             _alternating_limits_are_unique_common_fix,
-            # Looked up per call, so the rule can be wrapped or counted.
-            holds_on=lambda space, t: contracts._rational_holds(space, t),
+            RATIONAL,
         ),
     )
 }
@@ -256,8 +257,9 @@ class SearchOutcome:
     def verify(self) -> bool:
         """Replay the witness: the assertion's checker and conclusion on its
         maps, on the search's own space and so through the same levels, with
-        the checker's memo for the witness's one parameter value (not the
-        search's memo for the whole grid).  Exhaustions verify trivially."""
+        the checker's memo for the witness's one parameter value, or the
+        empty grid's for the rational form (never the search's memo for its
+        whole grid).  Exhaustions verify trivially."""
         if self.status != COUNTEREXAMPLE:
             return True
         spec = ASSERTIONS[self.assertion]
@@ -311,6 +313,12 @@ def small_connected_images(size_bound: int, one_dimensional_only: bool = False):
 _METRICS: tuple[MetricSpec, ...] = (L1, L2, SHORTEST_PATH)
 
 
+def _scan_combos(size_bound: int, one_dimensional_only: bool) -> Iterator[tuple]:
+    """The scan universe's (shape, metric) pairs, lazily, unlike itertools.product."""
+    shapes = _scan_shapes(size_bound, one_dimensional_only)
+    return ((shape, metric) for shape in shapes for metric in _METRICS)
+
+
 def _per_table(combos, work: Callable) -> Iterator:
     """work(space) for each (shape, metric) pair of combos, in order and
     lazily: the first pair of each _table_class builds its space on
@@ -331,13 +339,13 @@ def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
     return tuple(SelfMap(img, tuple(values[a : a + n])) for a in range(0, len(values), n))
 
 
-def _sweep(space, arity: int, cond=None, grid=(), within=False, increasing=False, lanes=None):
+def _sweep(space, arity: int, cond, grid: tuple, within=False, increasing=False, lanes=None):
     """Each table of value positions of `arity` maps in product order, one
-    list filled in place: all, or with a row cond those whose last map's
-    pairs hold under grid (_narrow) in some lane.  lanes, an empty
-    mapkit.Lanes of n-bit lanes, receives the domains, so that its sets
-    give each table's lanes; without it there is one lane.  With increasing, each entry is pinned to
-    its own position, since a strictly increasing self-map of a finite
+    list filled in place, whose pairs all hold cond's row under grid
+    (_narrow) in some lane.  lanes, an empty mapkit.Lanes of n-bit lanes,
+    receives the domains, so that its sets give each table's lanes;
+    without it there is one lane.  With increasing, each entry is pinned
+    to its own position, since a strictly increasing self-map of a finite
     interval is the identity.  A budget error names the space."""
     n = len(space)
     domains = Lanes() if lanes is None else lanes
@@ -345,9 +353,8 @@ def _sweep(space, arity: int, cond=None, grid=(), within=False, increasing=False
         domains += [domains.every(1 << k % n) for k in range(arity * n)]
     else:
         domains += [domains.every((1 << n) - 1)] * (arity * n)
-    narrow = _narrow(space, arity, cond, grid, within, domains) if cond else lambda t, k: ()
     try:
-        yield from enumerate_tables(domains, narrow)
+        yield from enumerate_tables(domains, _narrow(space, arity, cond, grid, within, domains))
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(f"{space.describe()}: {err}") from None
 
@@ -389,19 +396,18 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     size_bound for a hypothesis-true, conclusion-false instance.
 
     Map tables run depth first in lexicographic order, each entry's values
-    narrowed by the hypothesis's pairs with the entries before it;
+    narrowed by the hypothesis's pairs with the entries before it (_narrow);
     instances_scanned counts the tables skipped too.  Every table
-    enumerated is hypothesis-true: only the rational form, which narrows
-    nothing, decides its hypothesis per table, on the table itself.  Only
-    a witness becomes SelfMaps.
+    enumerated is hypothesis-true: no hypothesis is decided per table.
+    Only a witness becomes SelfMaps.
 
     One enumeration per space and metric serves the whole grid: a bound
     lhs <= r * base holding under r holds under every larger r, so the
     grid's values, loosest first, are nested lanes (mapkit.Lanes), and a
     table's lanes give its hits at every grid position.  After a
     conclusion-false table at position p only earlier positions stay live.
-    verify() replays a witness through the checker's memo for its one
-    value, not the grid memo the search filled.  The spaces of one
+    verify() replays a witness through the checker's own memo, not the
+    grid memo the search filled.  The spaces of one
     _table_class (on an interval, all three metrics) are built and
     enumerated once (_per_table): a later one builds no distances and
     adds the first one's instances and hits, which had no witness, since
@@ -425,7 +431,7 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
     else:
         raw = DEFAULT_PARAM_GRID if param_grid is None else param_grid
         grid, values, lane = _param_lanes(spec.param, raw)
-    concludes, holds_on = spec.concludes, spec.holds_on
+    concludes = spec.concludes
     pruned = (spec.condition, values, spec.within, spec.increasing)
 
     def scan(space):
@@ -440,7 +446,7 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         # position.
         counts, p, witness, past = dict.fromkeys(lanes.upto[1:], 0), len(grid), None, 0
         for t in tables:
-            if holds_on and not holds_on(space, t) or (held := lanes.sets[-2]) <= past:
+            if (held := lanes.sets[-2]) <= past:
                 continue
             counts[held] += 1
             if not concludes(n, t):
@@ -461,7 +467,7 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
 
     scanned = hits = spaces = 0
     status, found = EXHAUSTED, {}
-    combos = itertools.product(_scan_shapes(size_bound, spec.one_dimensional_only), _METRICS)
+    combos = _scan_combos(size_bound, spec.one_dimensional_only)
     for space_scanned, space_hits, witness in _per_table(combos, scan):
         spaces += 1
         scanned += space_scanned
@@ -744,7 +750,7 @@ def verify_paper_suite() -> SuiteReport:
             _suite_affine_counterexample(),
             _suite_compatibility(),
             _suite_rational_ill_definedness(),
-            _suite_sum_bound_constancy(itertools.product(_scan_shapes(3, True), _METRICS)),
+            _suite_sum_bound_constancy(_scan_combos(3, True)),
             _suite_non_integer_rejection(),
             _suite_fpp(),
         )

@@ -462,18 +462,6 @@ def test_a_map_checked_on_two_spaces_gets_each_space_s_reports():
     assert reports[check_quasi, L1].minimal_constant != reports[check_quasi, L2].minimal_constant
 
 
-def test_the_rational_test_stops_at_the_first_failing_pair(monkeypatch):
-    """The rational search asks _rational_holds of every table, and most
-    tables fail it: one failing at (0, 0) asks for one key, not n^2.
-    With T0 = 2 and S0 = 0 on [0,2]_Z, at (0, 0):
-    d(T0,S0) * [d(0,S0) + d(0,T0)] = 2 * 2 > d(0,T0)d(0,S0) + d(0,S0)d(0,T0) = 0."""
-    calls, (terms, rule) = [], contracts.RATIONAL
-    counted = contracts.Condition(lambda *args: calls.append(args) or terms(*args), rule)
-    monkeypatch.setattr(contracts, "RATIONAL", counted)
-    assert not contracts._rational_holds(space(3), (2, 0, 0) + (0, 0, 0))
-    assert len(calls) == 1
-
-
 def test_the_verdict_memo_is_found_by_grid_equality_without_hashing(monkeypatch):
     """The five bound rows share one memo per grid: an equal grid of other
     Fraction objects finds it, another grid or rule does not, and no

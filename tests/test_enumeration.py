@@ -104,7 +104,6 @@ def swept(monkeypatch):
     return tables
 
 
-NARROWED = [key for key, spec in ASSERTIONS.items() if spec.condition is not None]
 SPACES = [
     DigitalMetricSpace(img, metric)
     for img in small_connected_images(3)
@@ -113,13 +112,14 @@ SPACES = [
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
-@pytest.mark.parametrize("assertion", NARROWED)
+@pytest.mark.parametrize("assertion", sorted(ASSERTIONS))
 def test_each_narrowing_leaves_exactly_the_hypothesis_true_tables(assertion, space, swept):
     spec = ASSERTIONS[assertion]
     n = len(space)
     tables = list(itertools.product(range(n), repeat=spec.arity * n))
     maps = [table_maps(space.image, t, spec.arity) for t in tables]
-    for value in DEFAULT_PARAM_GRID:
+    # The rational form has no parameter: its search's grid is (None,).
+    for value in DEFAULT_PARAM_GRID if spec.param else (None,):
         wanted = [t for t, m in zip(tables, maps) if spec.hypothesis(space, m, value)]
         pruned = (spec.condition, (value,), spec.within, spec.increasing)
         assert swept(space, spec.arity, *pruned) == wanted
@@ -217,15 +217,22 @@ def test_the_monotone_exhaustion_decides_few_tables(monkeypatch):
     assert calls["domination"] == 0
 
 
-def test_only_the_rational_search_checks_its_hypothesis_per_table(monkeypatch):
-    calls = Counter()
-    for name in ("check_quasi", "check_ciric5", "_rational_holds"):
-        monkeypatch.setattr(contracts, name, counting(calls, name, getattr(contracts, name)))
-    assert find_counterexample("quasi-fixed-point", 4).status == EXHAUSTED
-    assert find_counterexample("five-term-fixed-point", 4).status == EXHAUSTED
-    assert calls["check_quasi"] == calls["check_ciric5"] == 0
-    assert find_counterexample("rational-alternating-common-fix", 2).status == COUNTEREXAMPLE
-    assert calls["_rational_holds"] >= 1
+@pytest.mark.parametrize("assertion", sorted(ASSERTIONS))
+def test_each_search_enumerates_only_hypothesis_true_tables(assertion, monkeypatch):
+    spec, seen, sweep = ASSERTIONS[assertion], [], search._sweep
+
+    def recorded(space, *args):
+        for t in sweep(space, *args):
+            seen.append((space, tuple(t)))
+            yield t
+
+    monkeypatch.setattr(search, "_sweep", recorded)
+    grid = (Fraction(3, 4),) if spec.param else None
+    find_counterexample(assertion, 3, grid)
+    assert seen
+    for space, t in seen:
+        maps = table_maps(space.image, t, spec.arity)
+        assert spec.hypothesis(space, maps, grid and grid[0]), (space.describe(), t)
 
 
 def test_the_rational_search_builds_maps_only_for_its_witness(monkeypatch):

@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 from digitop import contracts, fixpoint, search
-from digitop.contracts import ConditionReport, _Arith, _bound, _kannan
+from digitop.contracts import ConditionReport, _bound, _kannan
 from digitop.exact import compare
 from digitop.mapkit import EVENTUALLY_CONSTANT, enumerate_selfmaps, fixed_points
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
@@ -53,7 +53,7 @@ def at_most(space, lhs, rhs) -> bool:
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
 def test_bound_verdicts_match_fraction_scaling(space):
-    levels, ar = space.levels, _Arith(space)
+    levels, tol = space.levels, space.comparison_tolerance
     ranks = range(len(levels))
     # (lhs level, base level), and Saluja's (pair of lhs levels, base level).
     keys = list(itertools.product(ranks, ranks))
@@ -61,7 +61,7 @@ def test_bound_verdicts_match_fraction_scaling(space):
     for coeff, (lhs, base) in itertools.product(COEFFICIENTS, keys):
         value = levels[lhs] if isinstance(lhs, int) else levels[lhs[0]] + levels[lhs[1]]
         expected = at_most(space, value, scaled(space, coeff, levels[base]))
-        assert _bound(ar, levels, (lhs, base), (coeff,)) == expected, (coeff, lhs, base)
+        assert _bound(tol, levels, (lhs, base), (coeff,)) == expected, (coeff, lhs, base)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -69,20 +69,20 @@ def test_bound_grid_verdicts_match_each_value(space):
     """A key decided for a whole grid at once, as a search asks for it:
     bit c of its mask is the verdict under grid[c] alone, in any order and
     with a value repeated."""
-    levels, ar = space.levels, _Arith(space)
+    levels, tol = space.levels, space.comparison_tolerance
     ranks = range(len(levels))
     grid = COEFFICIENTS[::-1] + COEFFICIENTS[2:4]
     for key in itertools.product(ranks, ranks):
-        mask = _bound(ar, levels, key, grid)
+        mask = _bound(tol, levels, key, grid)
         assert [mask >> c & 1 for c in range(len(grid))] == [
-            _bound(ar, levels, key, (coeff,)) for coeff in grid
+            _bound(tol, levels, key, (coeff,)) for coeff in grid
         ], key
         assert mask >> len(grid) == 0
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
 def test_kannan_verdicts_match_fraction_scaling(space):
-    levels, ar = space.levels, _Arith(space)
+    levels, tol = space.levels, space.comparison_tolerance
     ranks = range(len(levels))
     ascending = list(itertools.combinations_with_replacement(ranks, 2))
     # coeff * (d + d') by coefficient and ascending pair of levels.
@@ -95,7 +95,7 @@ def test_kannan_verdicts_match_fraction_scaling(space):
         rhs = term[a, xy] + term[b, uw]
         for lhs in ranks:
             expected = at_most(space, levels[lhs], rhs)
-            assert _kannan(ar, levels, (lhs, *xy, *uw), ((a, b),)) == expected, (a, b, lhs)
+            assert _kannan(tol, levels, (lhs, *xy, *uw), ((a, b),)) == expected, (a, b, lhs)
 
 
 GRID_IMAGES = [digital_interval(0, 4), GRID3, DigitalImage(GRID3.points, C2)]
@@ -133,7 +133,7 @@ def test_grid_verdicts_match_the_bound_under_each_tuple(img, metric, grid):
     through the space's memo: bit c of its mask is the direct scaling
     under grid[c], and the verdict check_kannan's one-tuple grid gives."""
     space = DigitalMetricSpace(img, metric)  # fresh: no memo from elsewhere
-    levels, ar = space.levels, _Arith(space)
+    levels, tol = space.levels, space.comparison_tolerance
     masks = contracts.verdicts(space, contracts.KANNAN, grid)
     for key in kannan_keys(space):
         lhs, x, y, u, w = (levels[k] for k in key)
@@ -141,7 +141,7 @@ def test_grid_verdicts_match_the_bound_under_each_tuple(img, metric, grid):
         direct = [at_most(space, lhs, r) for r in rhs]
         mask = masks[key]
         assert [mask >> c & 1 for c in range(len(grid))] == direct, key
-        assert [_kannan(ar, levels, key, (ab,)) for ab in grid] == direct, key
+        assert [_kannan(tol, levels, key, (ab,)) for ab in grid] == direct, key
         assert mask >> len(grid) == 0
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from digitop import contracts, exact, fixpoint, metric
-from digitop.contracts import _Arith, check_ciric5
+from digitop.contracts import check_ciric5
 from digitop.mapkit import SelfMap
 from digitop.metric import L1, L2, SHORTEST_PATH, DigitalMetricSpace, Lp
 from digitop.search import EXHAUSTED, find_counterexample, small_connected_images
@@ -45,10 +45,10 @@ def test_level_order(space):
             assert type(value) is type(space.index_distance(i, j))
     # A per-base cap of the levels meeting lhs <= coeff * base needs the
     # levels that meet it to be a prefix.
-    ar, ranks = _Arith(space), range(len(levels))
+    tol, ranks = space.comparison_tolerance, range(len(levels))
     for coeff in COEFFICIENTS:
         for base in ranks:
-            verdicts = [contracts._bound(ar, levels, (lhs, base), (coeff,)) for lhs in ranks]
+            verdicts = [contracts._bound(tol, levels, (lhs, base), (coeff,)) for lhs in ranks]
             assert verdicts == sorted(verdicts, reverse=True), (coeff, base)
 
 

@@ -196,6 +196,24 @@ def test_a_search_builds_one_space_per_table_class(assertion, status, built, spa
     assert outcome.stats["space_metric_combinations"] == spaces
 
 
+def test_a_large_size_bound_draws_only_the_shapes_a_search_reaches(monkeypatch):
+    # The witness lies in the 2-point interval: a search that drew the
+    # whole universe of a million points before its first space would
+    # raise here.
+    drawn, shapes = [], search._scan_shapes
+
+    def bounded(*args):
+        for shape in shapes(*args):
+            drawn.append(shape)
+            if len(drawn) > 64:
+                raise AssertionError("the search drew the shape universe ahead")
+            yield shape
+
+    monkeypatch.setattr(search, "_scan_shapes", bounded)
+    assert find_counterexample("dominated-common-fix", 10**6).status == COUNTEREXAMPLE
+    assert len(drawn) <= 3
+
+
 # -- frozen search outcomes ------------------------------------------
 
 

@@ -263,9 +263,11 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     ):
         monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
     # The sweep reads the Kannan row, which holds its functions: count them there.
-    terms, rule = contracts.KANNAN
-    counted = counting(calls, "_kannan_terms", terms), counting(calls, "_kannan", rule)
-    monkeypatch.setattr(contracts, "KANNAN", contracts.Condition(*counted))
+    row = contracts.KANNAN
+    counted = row._replace(
+        terms=counting(calls, "_kannan_terms", row.terms), rule=counting(calls, "_kannan", row.rule)
+    )
+    monkeypatch.setattr(contracts, "KANNAN", counted)
     sweep = search._theorem_sweep
 
     def counted_sweep(name, spaces, *args):
