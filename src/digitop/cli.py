@@ -47,44 +47,42 @@ from .space import as_point, fmt_point
 
 
 def _value_json(v):
-    if v is None or isinstance(v, bool):
-        return v
-    if isinstance(v, int):
+    if v is None or isinstance(v, int):
         return v
     if isinstance(v, (Fraction, RadicalSum)):
         return str(v)
     return float(v)
 
 
-def _point_json(p):
-    return list(p)
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte.  A report's
     str, int, bool, None, list and str-keyed dict skip the pure-Python encoder
     that ``indent`` selects; anything else goes to ``json.dumps``, re-indented."""
-    if type(value) is str:
+    kind = type(value)
+    if kind is str:
         return _json_str(value)
-    if type(value) is int:
+    if kind is int:
         return repr(value)
-    if value is None or type(value) is bool:
-        return json.dumps(value)
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
     inner = indent + "  "
-    if type(value) is list and value:
-        rows = [inner + _json(v, inner) for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        rows = [f"{inner}{_json_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
-        return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
+    if kind is list and value:
+        # A point, a list of exact ints, renders without a call per coordinate.
+        exact = all(type(v) is int for v in value)
+        rows = map(repr, value) if exact else [_json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        rows = [f"{_json_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}}}"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.format == "json":
-        print(_json(payload))
-    else:
-        print("\n".join(lines))
+def _emit(args, payload: dict, lines) -> None:
+    """Print the payload as JSON, or the text lines that lines() builds."""
+    print(_json(payload) if args.format == "json" else "\n".join(lines()))
 
 
 def _require_map(args, parser) -> str:
@@ -104,7 +102,7 @@ def _affine_report(args, payload: dict, m: AffineMapZ) -> int:
     fx = mapkit.affine_analyze(m)
     payload["fixed_points"] = {"kind": fx.kind, "point": fx.point}
     shown = fx.kind if fx.point is None else f"{fx.kind} ({fx.point})"
-    _emit(args, payload, [f"map {payload['map']}: {m}", f"fixed points: {shown}"])
+    _emit(args, payload, lambda: [f"map {payload['map']}: {m}", f"fixed points: {shown}"])
     return 0
 
 
@@ -131,16 +129,15 @@ def _cmd_check_map(args, parser) -> int:
         "continuous": violation is None,
         "continuity_violation": None
         if violation is None
-        else [_point_json(x) for x in violation],
-        "fixed_points": [_point_json(p) for p in fixes],
+        else [list(x) for x in violation],
+        "fixed_points": [list(p) for p in fixes],
     }
-    lines = [f"map {name}: valid self-map of {doc.image.describe()}"]
-    if violation is None:
-        lines.append("continuous: yes")
-    else:
-        x, y = violation
-        lines.append(f"continuous: no (edge {fmt_point(x)} ~ {fmt_point(y)})")
-    lines.append(_fixes_line(fixes))
+
+    def lines():
+        edge = violation and "no (edge {} ~ {})".format(*map(fmt_point, violation))
+        header = f"map {name}: valid self-map of {doc.image.describe()}"
+        return [header, f"continuous: {edge or 'yes'}", _fixes_line(fixes)]
+
     _emit(args, payload, lines)
     return 0
 
@@ -216,30 +213,32 @@ def _cmd_classify(args, parser) -> int:
     m = doc.get_map(name)
     if doc.is_integer_line:
         rows = _classify_affine(doc, m, args.map2)
-        header = "classification on the integer line:"
     elif args.map2 is not None:
         rows = _classify_finite_pair(doc.space, m, doc.get_map(args.map2))
-        header = f"classification on {doc.space.describe()}:"
     else:
         rows = _classify_finite_single(doc.space, m)
-        header = f"classification on {doc.space.describe()}:"
     payload = {"command": "classify", "map": name, "conditions": rows}
     if args.map2 is not None:
         payload["map2"] = args.map2
-    lines = [header]
-    for row in rows:
-        fields = " ".join(f"{k}={row[k]}" for k in row if k != "condition")
-        lines.append(f"  {row['condition']}: {fields}")
+
+    def lines():
+        on = "the integer line" if doc.is_integer_line else doc.space.describe()
+        text = [f"classification on {on}:"]
+        for row in rows:
+            fields = " ".join(f"{k}={row[k]}" for k in row if k != "condition")
+            text.append(f"  {row['condition']}: {fields}")
+        return text
+
     _emit(args, payload, lines)
     return 0
 
 
 def _orbit_json(rep: OrbitReport) -> dict:
     return {
-        "points": [_point_json(p) for p in rep.points],
+        "points": [list(p) for p in rep.points],
         "kind": rep.kind,
         "settle_index": rep.settle_index,
-        "value": None if rep.value is None else _point_json(rep.value),
+        "value": None if rep.value is None else list(rep.value),
         "period": rep.period,
     }
 
@@ -282,25 +281,24 @@ def _cmd_fix(args, parser) -> int:
         start = _parse_start(args.start)
         rep = run(start)
         payload = {"command": "fix", "map": name, "orbit": _orbit_json(rep)}
-        _emit(args, payload, [_orbit_text(rep)])
+        _emit(args, payload, lambda: [_orbit_text(rep)])
         return 0
     reps = [run(p) for p in doc.image.points]
     fixes = fixed_points(m)
     payload = {
         "command": "fix",
         "map": name,
-        "fixed_points": [_point_json(p) for p in fixes],
+        "fixed_points": [list(p) for p in fixes],
         "orbits": [_orbit_json(r) for r in reps],
     }
-    lines = [_fixes_line(fixes)] + [_orbit_text(r) for r in reps]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [_fixes_line(fixes)] + [_orbit_text(r) for r in reps])
     return 0
 
 
 def _parse_start(text: str):
     try:
         decoded = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise DocumentError("--start", f"not a point: {text!r}") from None
     try:
         return as_point(decoded)
@@ -311,7 +309,7 @@ def _parse_start(text: str):
 def _parse_point_set(doc: ParsedDocument, text: str, flag: str):
     try:
         decoded = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise DocumentError(flag, f"not a point array: {text!r}") from None
     if not isinstance(decoded, list) or not decoded:
         raise DocumentError(flag, "expected a nonempty JSON array of points")
@@ -332,7 +330,7 @@ def _cmd_hausdorff(args, parser) -> int:
     second = _parse_point_set(doc, args.second, "--second")
     value = metric.hausdorff(doc.space, first, second)
     payload = {"command": "hausdorff", "distance": _value_json(value)}
-    _emit(args, payload, [f"hausdorff distance: {value_str(value)}"])
+    _emit(args, payload, lambda: [f"hausdorff distance: {value_str(value)}"])
     return 0
 
 
@@ -347,13 +345,16 @@ def _cmd_fpp(args, parser) -> int:
         "witness": None
         if verdict.counterexample is None
         else [
-            [_point_json(x), _point_json(v)]
+            [list(x), list(v)]
             for x, v in zip(doc.image.points, verdict.counterexample.values)
         ],
     }
-    lines = [f"fixed point property: {'holds' if verdict.holds else 'fails'}"]
-    if verdict.counterexample is not None:
-        lines.append(f"witness map without fixed points: {verdict.counterexample}")
+
+    def lines():
+        witness = verdict.counterexample
+        shown = [] if witness is None else [f"witness map without fixed points: {witness}"]
+        return [f"fixed point property: {'holds' if verdict.holds else 'fails'}", *shown]
+
     _emit(args, payload, lines)
     return 1 if (args.expect_pass and not verdict.holds) else 0
 
@@ -394,7 +395,6 @@ def _cmd_search(args, parser) -> int:
         "stats": outcome.stats,
         "witness": None,
     }
-    lines = [f"{outcome.assertion}: {outcome.status}"]
     if outcome.status == search.COUNTEREXAMPLE:
         replayed = outcome.verify()
         names = [f"M{i + 1}" for i in range(len(outcome.maps))]
@@ -411,21 +411,24 @@ def _cmd_search(args, parser) -> int:
             "param": None if outcome.param is None else str(outcome.param),
             "replayed": replayed,
         }
-        lines.append(f"space: {outcome.space.describe()}")
-        for label, m in zip(names, outcome.maps):
-            lines.append(f"{label}: {m}")
-        if outcome.param is not None:
-            lines.append(f"parameter: {outcome.param}")
-        lines.append(f"replayed: {replayed}")
-    for key in sorted(outcome.stats):
-        lines.append(f"{key}: {outcome.stats[key]}")
+
+    def lines():
+        text = [f"{outcome.assertion}: {outcome.status}"]
+        if payload["witness"] is not None:
+            text.append(f"space: {outcome.space.describe()}")
+            text += [f"{label}: {m}" for label, m in zip(names, outcome.maps)]
+            if outcome.param is not None:
+                text.append(f"parameter: {outcome.param}")
+            text.append(f"replayed: {replayed}")
+        return text + [f"{key}: {outcome.stats[key]}" for key in sorted(outcome.stats)]
+
     _emit(args, payload, lines)
     return 1 if (args.expect_pass and outcome.status == search.COUNTEREXAMPLE) else 0
 
 
 def _cmd_verify_paper(args, parser) -> int:
     report = search.verify_paper_suite()
-    _emit(args, report.as_document(), [report.render_text()])
+    _emit(args, report.as_document(), lambda: [report.render_text()])
     return 0 if report.passed else 1
 
 
@@ -444,6 +447,10 @@ _SHARED = {
 }
 
 
+# Each subcommand's parser by name, filled by build_parser.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 # Built once per process, on the first main() call; each parse makes a fresh Namespace.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, *shared):
-        p = sub.add_parser(name, help=summary)
+        p = _COMMANDS[name] = sub.add_parser(name, help=summary)
         for flag in ("--format", *shared):
             p.add_argument(flag, **_SHARED[flag])
         p.set_defaults(handler=handler)
@@ -521,7 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        # The top-level parser would only pass argv[1:] to this parser.
+        namespace = argparse.Namespace(command=argv[0])
+        args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:], namespace)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
     except (DocumentError, MapValidationError, EnumerationBudgetError, ValueError) as err:

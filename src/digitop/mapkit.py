@@ -60,6 +60,16 @@ class SelfMap:
         return validate_selfmap(img, mapping.items())
 
     @classmethod
+    def _at_positions(cls, img: DigitalImage, positions: list[int]) -> "SelfMap":
+        """The map sending each point to the point at that position, with no
+        membership test: the positions are the image's own."""
+        m = object.__new__(cls)
+        values = tuple(map(img.points.__getitem__, positions))
+        # Past the frozen __setattr__; the indices property is filled as well.
+        m.__dict__.update(domain=img, values=values, indices=tuple(positions))
+        return m
+
+    @classmethod
     def constant(cls, img: DigitalImage, value) -> "SelfMap":
         v = as_point(value)
         return cls(img, tuple(v for _ in img.points))
@@ -128,6 +138,36 @@ def _try_point(value):
         return None
 
 
+def _position(index: dict, value) -> int | None:
+    """The image position of a list or tuple of exact ints, else None: as
+    dict keys, (1.0,) and (True,) are equal to (1,)."""
+    if type(value) is list or type(value) is tuple:
+        p = tuple(value)
+        if all(type(c) is int for c in p):
+            return index.get(p)
+    return None
+
+
+def _entry_positions(img: DigitalImage, t: list, key, value) -> tuple[int, int]:
+    """The positions of an entry read through as_point (the 1-D int shorthand
+    among them), or the entry's rejection."""
+    pk, pv = _try_point(key), _try_point(value)
+    if pk not in img:
+        shown = repr(key) if pk is None else fmt_point(pk)
+        message = f"map input {shown} is not a point of the image"
+        raise MapValidationError("unknown-point", message, pk, value)
+    if t[img.index[pk]] is not None:
+        message = f"duplicate assignment for {fmt_point(pk)}"
+        raise MapValidationError("duplicate", message, pk, value)
+    if pv is None:
+        message = f"map value {value!r} at {fmt_point(pk)} is not a lattice point"
+        raise MapValidationError("non-lattice-value", message, pk, value)
+    if pv not in img:
+        message = f"map value {fmt_point(pv)} at {fmt_point(pk)} lies outside the image"
+        raise MapValidationError("value-outside-domain", message, pk, pv)
+    return img.index[pk], img.index[pv]
+
+
 def validate_selfmap(img: DigitalImage, raw: Iterable) -> SelfMap:
     """Build a SelfMap from raw (input, output) pairs, or reject.
 
@@ -135,50 +175,20 @@ def validate_selfmap(img: DigitalImage, raw: Iterable) -> SelfMap:
     lattice points of the image.  Rejections name the offending entry;
     in particular a non-integer output (the classic flaw of defining
     t -> t/2 + 1 on nonnegative integers) is reported against its input
-    point.
+    point.  An entry of two exact points of the image is read straight
+    into positions; any other goes through as_point.
     """
-    table: dict[Point, Point] = {}
+    index, t = img.index, [None] * len(img.points)
     for key, value in raw:
-        pk = _try_point(key)
-        if pk is None or pk not in img:
-            shown = fmt_point(pk) if pk is not None else repr(key)
-            raise MapValidationError(
-                "unknown-point",
-                f"map input {shown} is not a point of the image",
-                point=pk,
-                value=value,
-            )
-        if pk in table:
-            raise MapValidationError(
-                "duplicate",
-                f"duplicate assignment for {fmt_point(pk)}",
-                point=pk,
-                value=value,
-            )
-        pv = _try_point(value)
-        if pv is None:
-            raise MapValidationError(
-                "non-lattice-value",
-                f"map value {value!r} at {fmt_point(pk)} is not a lattice point",
-                point=pk,
-                value=value,
-            )
-        if pv not in img:
-            raise MapValidationError(
-                "value-outside-domain",
-                f"map value {fmt_point(pv)} at {fmt_point(pk)} lies outside the image",
-                point=pk,
-                value=pv,
-            )
-        table[pk] = pv
-    missing = [p for p in img.points if p not in table]
-    if missing:
-        raise MapValidationError(
-            "partial",
-            f"map is partial: no value for {fmt_point(missing[0])}",
-            point=missing[0],
-        )
-    return SelfMap(img, tuple(table[p] for p in img.points))
+        i, j = _position(index, key), _position(index, value)
+        if i is None or j is None or t[i] is not None:
+            i, j = _entry_positions(img, t, key, value)
+        t[i] = j
+    if None in t:
+        missing = img.points[t.index(None)]
+        message = f"map is partial: no value for {fmt_point(missing)}"
+        raise MapValidationError("partial", message, missing)
+    return SelfMap._at_positions(img, t)
 
 
 def continuity_violation(f: SelfMap) -> tuple[Point, Point] | None:

@@ -6,6 +6,7 @@ flags).  JSON output must be byte-stable across runs.
 """
 
 import argparse
+import enum
 import json
 import os
 import subprocess
@@ -17,6 +18,10 @@ import pytest
 import digitop
 from digitop import cli, mapkit
 from digitop.cli import main
+
+
+class Level(enum.IntEnum):
+    ONE = 1
 
 
 def run(argv, capsys):
@@ -72,6 +77,11 @@ def json_reports_match_the_standard_library(monkeypatch):
         {"outer": {3: [1.5, (True, None)], 4: {}}, "z": [0.1, {"y": (), "x": 2}]},
         ["mixed", 1, 2.5, None, [False, {"é": "∞", "a": -0.0}]],
         {"B": 1, "a": 2, "é": 3, "": 4},
+        [1, True],
+        [True, False],
+        [0, -1, 10**40],
+        [[0, 1], [2]],
+        [Level.ONE, 2],
     ],
     ids=repr,
 )
@@ -742,6 +752,40 @@ def test_missing_document(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read" in err
+
+
+def test_a_document_that_is_not_utf8(tmp_path, capsys):
+    target = tmp_path / "bad.json"
+    target.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(["check-map", "--space", str(target), "--map", "T"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {target}: cannot decode: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+
+
+_DEEP = "[" * 3000 + "]" * 3000
+
+
+def test_a_deeply_nested_document(tmp_path, capsys):
+    target = tmp_path / "deep.json"
+    target.write_text(_DEEP)
+    code, out, err = run(["check-map", "--space", str(target), "--map", "T"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {target}: cannot decode: maximum recursion depth exceeded")
+
+
+def test_a_deeply_nested_start(finite, capsys):
+    code, out, err = run(["fix", "--space", finite, "--map", "T", "--start", _DEEP], capsys)
+    assert (code, out, err) == (2, "", f"error: --start: not a point: {_DEEP!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--first", "--second"])
+def test_a_deeply_nested_subset(finite, capsys, flag):
+    subsets = {"--first": "[[0]]", "--second": "[[2]]", flag: _DEEP}
+    argv = ["hausdorff", "--space", finite, *(x for kv in subsets.items() for x in kv)]
+    assert run(argv, capsys) == (2, "", f"error: {flag}: not a point array: {_DEEP!r}\n")
 
 
 def test_unknown_map_name(finite, capsys):

@@ -1,6 +1,7 @@
 """Document parsing, validation errors, and canonical serialization."""
 
 import json
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from digitop.documents import (
 )
 from digitop.mapkit import AffineMapZ, MapValidationError, SelfMap
 from digitop.metric import Lp, ShortestPath
+from digitop.space import as_point
 
 
 def finite_doc(**overrides):
@@ -249,6 +251,49 @@ def test_partial_and_alien_tables_are_named():
     )
     with pytest.raises(MapValidationError, match="map input 9 is not a point"):
         parse_document(doc)
+
+
+@pytest.mark.parametrize("coordinate", [1.0, True], ids=repr)
+def test_a_float_or_bool_coordinate_is_not_read_as_an_int(coordinate):
+    # (1.0,) and (True,) equal (1,) as dict keys; neither is a lattice point.
+    pairs = [[[0], [0]], [[1], [0]], [[2], [1]]]
+    as_input = finite_doc(maps=[{"name": "F", "pairs": [[[coordinate], [0]], *pairs[::2]]}])
+    with pytest.raises(MapValidationError) as excinfo:
+        parse_document(as_input)
+    assert (excinfo.value.kind, str(excinfo.value)) == (
+        "unknown-point",
+        f"map input [{coordinate!r}] is not a point of the image",
+    )
+    as_output = finite_doc(maps=[{"name": "F", "pairs": [pairs[0], [[1], [coordinate]], pairs[2]]}])
+    with pytest.raises(MapValidationError) as excinfo:
+        parse_document(as_output)
+    assert (excinfo.value.kind, str(excinfo.value)) == (
+        "non-lattice-value",
+        f"map value [{coordinate!r}] at 1 is not a lattice point",
+    )
+
+
+def test_map_pairs_of_exact_points_skip_as_point(monkeypatch):
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return as_point(value)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("digitop") and hasattr(module, "as_point"):
+            monkeypatch.setattr(module, "as_point", counting)
+    points = [[x, y] for x in range(3) for y in range(3)]
+    maps = [
+        {"name": "T", "pairs": [[p, p] for p in points]},
+        {"name": "S", "pairs": [[p, points[(4 * k) % 9]] for k, p in enumerate(points)]},
+    ]
+    parse_document(finite_doc(dimension=2, points=points, maps=[]))
+    without_maps = len(calls)
+    parsed = parse_document(finite_doc(dimension=2, points=points, maps=maps))
+    # The image's points are normalized as before; no map pair adds a call.
+    assert len(calls) - without_maps == without_maps
+    assert parsed.get_map("S").values[:3] == ((0, 0), (1, 1), (2, 2))
 
 
 def test_get_map_lists_known_names():
