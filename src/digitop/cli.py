@@ -298,7 +298,7 @@ def _cmd_fix(args, parser) -> int:
 def _parse_start(text: str):
     try:
         decoded = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # not JSON, too many digits or too deep
         raise DocumentError("--start", f"not a point: {text!r}") from None
     try:
         return as_point(decoded)
@@ -309,7 +309,7 @@ def _parse_start(text: str):
 def _parse_point_set(doc: ParsedDocument, text: str, flag: str):
     try:
         decoded = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # not JSON, too many digits or too deep
         raise DocumentError(flag, f"not a point array: {text!r}") from None
     if not isinstance(decoded, list) or not decoded:
         raise DocumentError(flag, "expected a nonempty JSON array of points")

@@ -271,6 +271,6 @@ def load_document(path: str) -> ParsedDocument:
         raise DocumentError(path, f"cannot read: {err}") from None
     except json.JSONDecodeError as err:
         raise DocumentError(path, f"invalid JSON at line {err.lineno}: {err.msg}") from None
-    except (UnicodeDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, too many digits or too deep
         raise DocumentError(path, f"cannot decode: {err}") from None
     return parse_document(obj)

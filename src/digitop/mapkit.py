@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -43,31 +43,30 @@ class MapValidationError(ValueError):
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A total map X -> X stored as values aligned with the point order."""
+    """A total map X -> X stored as values aligned with the point order and
+    as indices, their positions, filled in the pass that checks them."""
 
     domain: DigitalImage
     values: tuple[Point, ...]
+    indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) != len(self.domain.points):
             raise ValueError("value table length does not match the image")
-        for v in self.values:
-            if v not in self.domain:
-                raise ValueError(f"map value {fmt_point(v)} outside the image")
+        indices = tuple(map(self.domain.index.get, self.values))
+        if None in indices:
+            v = self.values[indices.index(None)]
+            raise ValueError(f"map value {fmt_point(v)} outside the image")
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def from_dict(cls, img: DigitalImage, mapping: dict) -> "SelfMap":
         return validate_selfmap(img, mapping.items())
 
     @classmethod
-    def _at_positions(cls, img: DigitalImage, positions: list[int]) -> "SelfMap":
-        """The map sending each point to the point at that position, with no
-        membership test: the positions are the image's own."""
-        m = object.__new__(cls)
-        values = tuple(map(img.points.__getitem__, positions))
-        # Past the frozen __setattr__; the indices property is filled as well.
-        m.__dict__.update(domain=img, values=values, indices=tuple(positions))
-        return m
+    def _at_positions(cls, img: DigitalImage, positions: Iterable[int]) -> "SelfMap":
+        """The map sending each point to the point at that position."""
+        return cls(img, tuple(map(img.points.__getitem__, positions)))
 
     @classmethod
     def constant(cls, img: DigitalImage, value) -> "SelfMap":
@@ -83,12 +82,6 @@ class SelfMap:
 
     def as_dict(self) -> dict:
         return dict(zip(self.domain.points, self.values))
-
-    @cached_property
-    def indices(self) -> tuple[int, ...]:
-        """Canonical positions of the values, computed on first use."""
-        index = self.domain.index
-        return tuple(index[v] for v in self.values)
 
     @cached_property
     def picard_orbits(self) -> tuple[tuple[OrbitReport, ...], tuple[list[int], ...]]:
@@ -128,7 +121,7 @@ def compose(outer: SelfMap, inner: SelfMap) -> SelfMap:
     """The self-map x -> outer(inner(x))."""
     if outer.domain != inner.domain:
         raise ValueError("composition needs a shared domain")
-    return SelfMap(outer.domain, tuple(map(outer.values.__getitem__, inner.indices)))
+    return SelfMap._at_positions(outer.domain, map(outer.indices.__getitem__, inner.indices))
 
 
 def _try_point(value):
@@ -176,7 +169,8 @@ def validate_selfmap(img: DigitalImage, raw: Iterable) -> SelfMap:
     in particular a non-integer output (the classic flaw of defining
     t -> t/2 + 1 on nonnegative integers) is reported against its input
     point.  An entry of two exact points of the image is read straight
-    into positions; any other goes through as_point.
+    into positions; any other goes through as_point.  The positions become
+    the map through SelfMap._at_positions, as every table of them does.
     """
     index, t = img.index, [None] * len(img.points)
     for key, value in raw:
@@ -344,10 +338,9 @@ class Lanes(list):
     each one's lowest bit, so a set shifted left by v is value v in each of
     its lanes, and a domain shifted right by v and ANDed with a set keeps
     the lanes of the set that hold v.  As the lanes nest, the only sets met
-    are upto[m], lanes 0 to m - 1, which ascends with m: sets compare as
-    their sizes do.  While enumerate_tables runs, sets[-2] after each yield
-    is the set of the lanes that allow the table.  Plain domains are one
-    lane."""
+    are upto[m], lanes 0 to m - 1, of size m.  While enumerate_tables runs,
+    sets[-2] after each yield is the set of the lanes that allow the table.
+    Plain domains are one lane."""
 
     full, upto = -1, (0, 1)  # lane 0's bits, and the sets of lanes, for one lane
 
@@ -466,7 +459,7 @@ def has_fpp(img: DigitalImage, restrict_continuous: bool = True) -> FppVerdict:
     table = next(enumerate_tables(domains, narrow), None)
     if table is None:
         return FppVerdict(True, None)
-    return FppVerdict(False, SelfMap(img, tuple(map(img.points.__getitem__, table))))
+    return FppVerdict(False, SelfMap._at_positions(img, table))
 
 
 @dataclass(frozen=True)

@@ -335,8 +335,8 @@ def _per_table(combos, work: Callable) -> Iterator:
 
 def _maps(img: DigitalImage, table) -> tuple[SelfMap, ...]:
     """The self-maps of img whose value positions are table, map after map."""
-    n, values = len(img), [img.points[v] for v in table]
-    return tuple(SelfMap(img, tuple(values[a : a + n])) for a in range(0, len(values), n))
+    n = len(img)
+    return tuple(SelfMap._at_positions(img, table[a : a + n]) for a in range(0, len(table), n))
 
 
 def _sweep(space, arity: int, cond, grid: tuple, within=False, increasing=False, lanes=None):
@@ -359,16 +359,10 @@ def _sweep(space, arity: int, cond, grid: tuple, within=False, increasing=False,
         raise EnumerationBudgetError(f"{space.describe()}: {err}") from None
 
 
-def _hits(lanes: Lanes, counts: dict, at) -> int:
-    """The hits at the grid positions whose lanes are at, from the count of
-    tables by their set of lanes."""
-    hits = 0
-    for held, k in counts.items():
-        m = lanes.size(held)
-        for c in at:
-            if c < m:
-                hits += k
-    return hits
+def _hits(counts: list, at) -> int:
+    """The hits at the grid positions whose lanes are at, from counts[m],
+    the tables held in m lanes: lane c holds those in more than c."""
+    return sum(sum(counts[c + 1 :]) for c in at)
 
 
 def _param_lanes(name: str, raw) -> tuple[tuple, tuple, list]:
@@ -440,30 +434,29 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         n = len(space)
         lanes = Lanes((), n, len(values))
         tables = _sweep(space, spec.arity, *pruned, lanes)
-        # Tables by their set of lanes.  Past a witness at position p, past
-        # is the set of the lanes before the loosest lane of an earlier
-        # position: a table whose set is no larger holds at no earlier
-        # position.
-        counts, p, witness, past = dict.fromkeys(lanes.upto[1:], 0), len(grid), None, 0
+        # Tables by the number of lanes, loosest first, that hold them.
+        # Past a witness at position p, past is the loosest earlier
+        # position's lane: a table held in no more lanes than that holds
+        # at no earlier position.
+        counts, p, witness, past = [0] * (len(values) + 1), len(grid), None, 0
         for t in tables:
-            if (held := lanes.sets[-2]) <= past:
+            if (m := lanes.size(lanes.sets[-2])) <= past:
                 continue
-            counts[held] += 1
+            counts[m] += 1
             if not concludes(n, t):
                 # The first position it holds at: only earlier ones can
                 # still hold an earlier witness.
-                m = lanes.size(held)
                 p = next(c for c in range(p) if lane[c] < m)
-                witness = list(t), _hits(lanes, counts, lane[p : p + 1])
+                witness = list(t), _hits(counts, lane[p : p + 1])
                 if not p:
                     break
-                past = lanes.upto[min(lane[:p])]
+                past = min(lane[:p])
         size = n ** (spec.arity * n)
         if witness is None:
-            return len(grid) * size, _hits(lanes, counts, lane), None
+            return len(grid) * size, _hits(counts, lane), None
         t, seen = witness
         rank = functools.reduce(lambda r, v: r * n + v, t)
-        return p * size + rank + 1, _hits(lanes, counts, lane[:p]) + seen, (space, t, p)
+        return p * size + rank + 1, _hits(counts, lane[:p]) + seen, (space, t, p)
 
     scanned = hits = spaces = 0
     status, found = EXHAUSTED, {}

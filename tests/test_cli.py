@@ -788,6 +788,29 @@ def test_a_deeply_nested_subset(finite, capsys, flag):
     assert run(argv, capsys) == (2, "", f"error: {flag}: not a point array: {_DEEP!r}\n")
 
 
+# Past Python's 4,300-digit limit on int conversion, json raises a plain ValueError.
+_LONG = "1" * 5000
+
+
+def test_a_document_with_an_overlong_integer(tmp_path, capsys):
+    target = tmp_path / "long.json"
+    target.write_text('{"dimension": ' + _LONG + "}")
+    code, out, err = run(["check-map", "--space", str(target), "--map", "T"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {target}: cannot decode: Exceeds the limit (4300 digits)")
+
+
+def test_an_overlong_integer_start(finite, capsys):
+    code, out, err = run(["fix", "--space", finite, "--map", "T", "--start", _LONG], capsys)
+    assert (code, out, err) == (2, "", f"error: --start: not a point: {_LONG!r}\n")
+
+
+def test_an_overlong_integer_in_a_subset(finite, capsys):
+    first = f"[[{_LONG}]]"
+    argv = ["hausdorff", "--space", finite, "--first", first, "--second", "[[2]]"]
+    assert run(argv, capsys) == (2, "", f"error: --first: not a point array: {first!r}\n")
+
+
 def test_unknown_map_name(finite, capsys):
     code, _, err = run(["check-map", "--space", finite, "--map", "X"], capsys)
     assert code == 2

@@ -5,7 +5,8 @@ Every other module of the package reaches a condition through its row
 minimal_constant and the checkers.  A module that names a private part
 of that wiring, as contracts.X or in a from-import of contracts, fails
 here, and so does one that defines a verdict rule or a level key of its
-own.  The modules are read with ast, not imported.
+own.  Likewise only mapkit reads mapkit.Lanes' bit layout, its full and
+upto attributes.  The modules are read with ast, not imported.
 """
 
 import ast
@@ -59,3 +60,13 @@ def test_the_rules_and_level_keys_live_in_contracts():
     defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
     assert set(RULES) <= defined
     assert len([name for name in defined if re.fullmatch(r"_\w+_terms", name)]) == 7
+
+
+@pytest.mark.parametrize("module", [m for m in (*MODULES, "contracts.py") if m != "mapkit.py"])
+def test_only_mapkit_reads_the_bit_layout_of_lanes(module):
+    read = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree(module))
+        if isinstance(node, ast.Attribute) and node.attr in ("full", "upto")
+    ]
+    assert read == []

@@ -7,8 +7,10 @@ Worked oracles in this file:
   * x -> 2x + 1 on Z fixes exactly -1
 """
 
+import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,7 +42,8 @@ from digitop.mapkit import (
     orbit,
     validate_selfmap,
 )
-from digitop.space import C1, C2, DigitalImage, components, digital_interval
+from digitop.search import small_connected_images
+from digitop.space import C1, C2, DigitalImage, components, digital_interval, fmt_point
 
 I2 = digital_interval(0, 1)
 I4 = digital_interval(0, 3)
@@ -75,6 +78,24 @@ def test_selfmap_rejects_values_outside_image():
         SelfMap(I2, ((0,), (7,)))
     with pytest.raises(ValueError):
         SelfMap(I2, ((0,),))  # wrong table length
+
+
+@pytest.mark.parametrize("img", small_connected_images(3), ids=str)
+def test_a_map_fills_its_positions_at_construction(img):
+    outside = tuple(c + 100 for c in img.points[0])
+    message = f"map value {fmt_point(outside)} outside the image"
+    for t in itertools.product(range(len(img)), repeat=len(img)):
+        values = tuple(img.points[i] for i in t)
+        f = SelfMap(img, values)
+        assert "indices" in vars(f)  # filled before any read
+        assert f.indices == tuple(img.index[v] for v in f.values) == t
+        g = SelfMap._at_positions(img, t)
+        assert g == f and hash(g) == hash(f) and g.indices == t
+        assert repr(g) == repr(f) and "indices" not in repr(f)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.indices = t
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SelfMap(img, values[:-1] + (outside,))
 
 
 def test_from_dict_rejects_partial_and_unknown():
