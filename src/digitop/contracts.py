@@ -20,10 +20,10 @@ carry exact=False.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement, product
 from typing import Callable, NamedTuple
 
 from .exact import compare, exact_div, scale
@@ -311,11 +311,13 @@ RATIONAL = Condition(_rational_terms, _rational_bound, across=True)
 def _keys(space: DigitalMetricSpace, cond: Condition, *maps: SelfMap) -> dict:
     """cond's distinct level keys on the table of one map, or of two (the
     first map's positions, then the second's), each with its first pair
-    (i, j), in lexicographic pair order with the diagonal."""
+    (i, j), in lexicographic pair order with the diagonal.  A symmetric
+    row reads the pairs i <= j only, where each key's first pair lies."""
     table = sum((_positions(space, f) for f in maps), ())
     key = partial(cond.terms, space.rank, *(len(space),) * (len(maps) - 1), table)
-    keys = {}
-    for i, j in itertools.product(range(len(space)), repeat=2):
+    ks, keys = range(len(space)), {}
+    pairs = product(ks, ks) if cond.across else combinations_with_replacement(ks, 2)
+    for i, j in pairs:
         keys.setdefault(key(i, j), (i, j))
     return keys
 
@@ -407,9 +409,9 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     """
     report = _check(space, RATIONAL, (), False, t, s)
     pts, tv, sv = space.points, t.indices, s.indices
-    # Undefined where d(x, Sy) = d(y, Tx) = 0, that is Sy = x and Tx = y.
-    pairs = itertools.product(range(len(space)), repeat=2)
-    undefined = tuple((pts[x], pts[y]) for x, y in pairs if sv[y] == x and tv[x] == y)
+    # Undefined where d(x, Sy) = d(y, Tx) = 0, that is Tx = y and Sy = x:
+    # each x has one candidate y.
+    undefined = tuple((pts[x], pts[y]) for x, y in enumerate(tv) if sv[y] == x)
     return dataclasses.replace(report, undefined_pairs=undefined)
 
 

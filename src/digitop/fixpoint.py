@@ -10,8 +10,10 @@ the conclusion and the estimate the proof derives it from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import contracts
 from .contracts import ConditionReport, _positions, check_kannan
@@ -68,42 +70,42 @@ def _settles_at(report: OrbitReport, p: Point) -> bool:
 
 
 def _confirm(
-    space: DigitalMetricSpace, f: SelfMap, hypothesis: ConditionReport, descends, label: str
-) -> TheoremReport:
-    """The shared conclusion check of both theorem verifiers.
-
-    Scans Fix(f), reads the orbit from every point (run once per map),
-    requires each to settle at the unique fixed point, and re-checks the
-    proof's descent bound descends(seq, n) along the orbit, given as the
-    positions seq it walked, for n in range(len(seq) - 2).  The
-    contraction bound compares steps n and n + 1, so that range covers
-    it; the displacement estimate bounds step n alone, and the step it
-    leaves out is the settled orbit's last, d(p, p) = 0, which every
-    nonnegative bound meets.
-    """
+    space: DigitalMetricSpace, f: SelfMap, hypothesis: ConditionReport, bounds, label: str
+) -> list[TheoremReport]:
+    """The shared conclusion check of both theorem verifiers, a report per
+    descent bound from one scan of Fix(f) and of the orbit from every point
+    (run once per map).  Each orbit must settle at the unique fixed point
+    and meet each bound descends(seq, n) along the positions seq it walked,
+    for n in range(len(seq) - 2); a report names the first failure in orbit
+    order.  The contraction bound compares steps n and n + 1, so that range
+    covers it; the displacement estimate bounds step n alone, and the step
+    it leaves out is the settled orbit's last, d(p, p) = 0, which every
+    nonnegative bound meets."""
     if not hypothesis.holds:
-        return TheoremReport(hypothesis, HYPOTHESIS_FAILS)
+        return [TheoremReport(hypothesis, HYPOTHESIS_FAILS)] * len(bounds)
     fixes = fixed_points(f)
     orbits, walks = f.picard_orbits
     if len(fixes) != 1:
-        return TheoremReport(
-            hypothesis,
-            REFUTES,
-            unique=False,
-            orbits=orbits,
-            detail=f"expected exactly one fixed point, found {len(fixes)}",
-        )
+        detail = f"expected exactly one fixed point, found {len(fixes)}"
+        return [TheoremReport(hypothesis, REFUTES, orbits=orbits, detail=detail)] * len(bounds)
     p = fixes[0]
-    for rep, seq in zip(orbits, walks):
-        if not _settles_at(rep, p):
-            detail = f"orbit from {fmt_point(rep.start)} does not settle at {fmt_point(p)}"
-        else:
+    settled = next((k for k, rep in enumerate(orbits) if not _settles_at(rep, p)), len(orbits))
+    refutes = partial(TheoremReport, hypothesis, REFUTES, unique=True, orbits=orbits)
+    # The report of a bound that holds along every orbit before `settled`.
+    descended = TheoremReport(hypothesis, CONFIRMS, fixed_point=p, unique=True, orbits=orbits)
+    if settled < len(orbits):
+        start = fmt_point(orbits[settled].start)
+        descended = refutes(detail=f"orbit from {start} does not settle at {fmt_point(p)}")
+
+    def report(descends) -> TheoremReport:
+        for rep, seq in zip(orbits[:settled], walks):
             step = next((n for n in range(len(seq) - 2) if not descends(seq, n)), None)
-            if step is None:
-                continue
-            detail = f"descent {label} fails at step {step} from {fmt_point(rep.start)}"
-        return TheoremReport(hypothesis, REFUTES, unique=True, orbits=orbits, detail=detail)
-    return TheoremReport(hypothesis, CONFIRMS, fixed_point=p, unique=True, orbits=orbits)
+            if step is not None:
+                start = fmt_point(rep.start)
+                return refutes(detail=f"descent {label} fails at step {step} from {start}")
+        return descended
+
+    return [report(descends) for descends in bounds]
 
 
 def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
@@ -123,15 +125,21 @@ def banach_verify(space: DigitalMetricSpace, f: SelfMap) -> TheoremReport:
     def descends(seq, n):
         return exact_le(d(seq[n + 1], seq[n + 2]), k_min * d(seq[n], seq[n + 1]), tol)
 
-    return _confirm(space, f, hypothesis, descends, "inequality")
+    return _confirm(space, f, hypothesis, [descends], "inequality")[0]
+
+
+def _descent_ratio(a, b) -> tuple[int, int]:
+    """kannan_descent_constant(a, b) in lowest terms, as two ints."""
+    a, b = contracts._fraction(a), contracts._fraction(b)
+    s = a.numerator * b.denominator + b.numerator * a.denominator
+    q = a.denominator * b.denominator - s
+    g = math.gcd(s, q)
+    return s // g, q // g
 
 
 def kannan_descent_constant(a, b) -> Fraction:
-    """The proof's orbit-contraction factor A = (a+b) / (1 - (a+b)),
-    over the common denominator of a and b."""
-    a, b = contracts._fraction(a), contracts._fraction(b)
-    s = a.numerator * b.denominator + b.numerator * a.denominator
-    return Fraction(s, a.denominator * b.denominator - s)
+    """The proof's orbit-contraction factor A = (a+b) / (1 - (a+b))."""
+    return Fraction(*_descent_ratio(a, b))
 
 
 def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
@@ -143,24 +151,26 @@ def kannan_verify(space: DigitalMetricSpace, t: SelfMap, a, b) -> TheoremReport:
     proof's estimate d(x_n, x_{n+1}) <= A^n * d(x_0, x_1) termwise; with
     A = p/q, exact regimes decide it as q^n * d(x_n, x_{n+1}) <= p^n * d(x_0, x_1).
     """
-    return _kannan_conclusion(space, t, check_kannan(space, t, a, b), a, b)
+    return _kannan_conclusions(space, t, check_kannan(space, t, a, b), ((a, b),))[0]
 
 
-def _kannan_conclusion(
-    space: DigitalMetricSpace, t: SelfMap, hypothesis: ConditionReport, a, b
-) -> TheoremReport:
-    """kannan_verify's conclusion from its hypothesis report.  Only an
-    admitted (a, b), with a + b < 1/2, reaches it, so A is defined."""
+def _kannan_conclusions(
+    space: DigitalMetricSpace, t: SelfMap, hypothesis: ConditionReport, tuples
+) -> list[TheoremReport]:
+    """kannan_verify's conclusion under each admitted (a, b) of tuples (a + b
+    < 1/2, so A is defined), from one hypothesis report and one _confirm
+    scan, with a descent bound per distinct A, keyed by ints (_descent_ratio)."""
     tol, d = space.comparison_tolerance, space.index_distance
-    big_a = kannan_descent_constant(a, b)
-    p, q = big_a.numerator, big_a.denominator
+    ratios = [_descent_ratio(a, b) for a, b in tuples]
+    index = {r: k for k, r in enumerate(dict.fromkeys(ratios))}
 
-    def descends(seq, n):
+    def descends(p, q, seq, n):
         if tol is None:
             return exact_le(q**n * d(seq[n], seq[n + 1]), p**n * d(seq[0], seq[1]))
-        return exact_le(d(seq[n], seq[n + 1]), scale(big_a**n, d(seq[0], seq[1])), tol)
+        return exact_le(d(seq[n], seq[n + 1]), scale(Fraction(p**n, q**n), d(seq[0], seq[1])), tol)
 
-    return _confirm(space, t, hypothesis, descends, "estimate")
+    reports = _confirm(space, t, hypothesis, [partial(descends, *r) for r in index], "estimate")
+    return [reports[index[r]] for r in ratios]
 
 
 def alternating_orbit(

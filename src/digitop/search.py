@@ -534,30 +534,29 @@ _TALLY = {
 
 
 def _theorem_sweep(name: str, combos, cond, grid: tuple, verify: Callable) -> SuiteEntry:
-    """Tally verify(space, f, *coeffs) over every self-map f of each space
-    of combos, (shape, metric) pairs, for each coefficient tuple of grid,
-    cond's row deciding the hypothesis: bit c of a key's verdict holds
-    under grid[c].  One enumeration per space keeps the maps whose every
-    pair holds for some tuple; each leaf is verified, as one SelfMap,
-    under the tuples that hold on all its pairs, in grid order.  Every
-    (table, tuple) left out fails the hypothesis.  Each _table_class is
-    built and enumerated once (_per_table): a later pair of the class
-    adds the first one's tally again."""
+    """Tally verify(space, f, hypothesis, held), a report per tuple held,
+    over every self-map f of each space of combos, (shape, metric) pairs,
+    cond's row deciding the hypothesis under each tuple of grid: bit c of
+    a key's verdict holds under grid[c].  One enumeration per space keeps
+    the maps whose every pair holds for some tuple; each leaf is verified
+    once, as one SelfMap with the space's one hypothesis report, under the
+    tuples held on all its pairs i <= j (both rows are symmetric), in grid
+    order.  Every (table, tuple) left out fails the hypothesis.  Each
+    _table_class is built and enumerated once (_per_table)."""
 
     def sweep(space):
         n, rank, terms = len(space), space.rank, cond.terms
         holds = contracts.verdicts(space, cond, grid)
+        hypothesis = contracts._report(space, None)
         tally = dict.fromkeys(_TALLY.values(), 0)
         for t in _sweep(space, 1, cond, grid):
             mask = (1 << len(grid)) - 1
-            for i, j in itertools.product(range(n), repeat=2):
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
                 mask &= holds[terms(rank, t, i, j)]
-            if not mask:
-                continue
-            f = _maps(space.image, t)
-            for c, coeffs in enumerate(grid):
-                if mask >> c & 1:
-                    tally[_TALLY[verify(space, *f, *coeffs).conclusion]] += 1
+            held = [coeffs for c, coeffs in enumerate(grid) if mask >> c & 1]
+            if held:
+                for report in verify(space, *_maps(space.image, t), hypothesis, held):
+                    tally[_TALLY[report.conclusion]] += 1
         tally["hypothesis_failed"] += n**n * len(grid) - sum(tally.values())
         return tally
 
@@ -569,9 +568,12 @@ def _theorem_sweep(name: str, combos, cond, grid: tuple, verify: Callable) -> Su
 
 
 def _suite_contraction(combos) -> SuiteEntry:
-    # The grid is one empty tuple, so the memo's bools are one-bit masks.
+    # The grid is one empty tuple, so the memo's bools are one-bit masks;
+    # banach_verify decides its own hypothesis, with the map's constant.
     name, cond = "contraction-theorem-exhaustive", contracts.STRICT_CONTRACTION
-    return _theorem_sweep(name, combos, cond, ((),), fixpoint.banach_verify)
+    return _theorem_sweep(
+        name, combos, cond, ((),), lambda space, f, *_: [fixpoint.banach_verify(space, f)]
+    )
 
 
 _EIGHTHS = tuple(Fraction(i, 8) for i in range(4))
@@ -580,12 +582,7 @@ _KANNAN_GRID = tuple((a, b) for a in _EIGHTHS for b in _EIGHTHS if a + b < Fract
 
 def _suite_two_coefficient(combos, grid=_KANNAN_GRID) -> SuiteEntry:
     name = "two-coefficient-theorem-exhaustive"
-
-    def verify(space, t, a, b):
-        # The mask decided the hypothesis: check_kannan's report, had it run.
-        return fixpoint._kannan_conclusion(space, t, contracts._report(space, None), a, b)
-
-    return _theorem_sweep(name, combos, contracts.KANNAN, grid, verify)
+    return _theorem_sweep(name, combos, contracts.KANNAN, grid, fixpoint._kannan_conclusions)
 
 
 def _probe_entry(name: str, assertion: str) -> SuiteEntry:
@@ -711,19 +708,13 @@ def _suite_non_integer_rejection() -> SuiteEntry:
 
 
 def _suite_fpp() -> SuiteEntry:
-    verdicts = {}
-    ok = True
+    verdicts, ok = {}, True
     for n in (1, 2, 3):
-        img = digital_interval(0, n - 1)
-        verdict = mapkit.has_fpp(img, restrict_continuous=True)
-        verdicts[f"size_{n}"] = verdict.holds
-        if verdict.holds != (n == 1):
-            ok = False
-        if n == 2 and (
-            verdict.counterexample is None
-            or verdict.counterexample.values != ((1,), (0,))
-        ):
-            ok = False
+        verdict = mapkit.has_fpp(digital_interval(0, n - 1), restrict_continuous=True)
+        verdicts[f"size_{n}"], witness = verdict.holds, verdict.counterexample
+        ok &= verdict.holds == (n == 1)
+        if n == 2:  # the swap of the two points
+            ok &= witness is not None and witness.values == ((1,), (0,))
     return SuiteEntry("fpp-only-singletons", ok, verdicts)
 
 

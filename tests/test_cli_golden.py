@@ -3,11 +3,12 @@
 tests/golden/cli.json holds, for each command line below, the SHA-256 of its
 stdout, its stderr and its exit code.  The calls cover check-map, classify,
 fix, hausdorff and fpp on l1, l2, l3 and shortest-path documents in one and
-two dimensions and on the integer line, in text and JSON; argument errors
-from the parser; and map-table errors in a document.  A change that alters
-any report, message or exit code fails here.  Documents are written to a
-fresh directory on each run; its path reads as <dir> in the recorded
-output.  To record the golden again after an intended output change, run
+two dimensions and on the integer line, in text and JSON; verify-paper in
+text and JSON; argument errors from the parser; and map-table errors in a
+document.  A change that alters any report, message or exit code fails
+here.  Documents are written to a fresh directory on each run; its path
+reads as <dir> in the recorded output.  To record the golden again after
+an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -152,6 +153,7 @@ def _cases() -> list[tuple[str, ...]]:
     for name in _TABLES:
         table = ("--space", f"<dir>/{name}.json")
         cases += [("check-map", *table, "--map", "T", *fmt) for fmt in _FORMATS]
+    cases += [("verify-paper", *fmt) for fmt in _FORMATS]
     space = ("--space", "<dir>/l1-1d.json")
     cases += [
         (),

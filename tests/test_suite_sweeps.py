@@ -8,9 +8,10 @@ entries must agree, on more spaces and coefficients than the suite uses.
 Work counts pin that the suite verifies only hypothesis-true maps,
 builds and enumerates one space per table class for a whole coefficient
 grid, decides each Kannan key once for the whole grid, hands each
-hypothesis-true (map, tuple) straight to the conclusion step, and builds
-each verified map and its orbits once per distance table.  Each report
-so tallied is the one kannan_verify gives on a fresh space and map.
+hypothesis-true map straight to the conclusion step once, with all its
+hypothesis-true tuples, and builds each verified map and its orbits once
+per distance table.  Each report so tallied is the one kannan_verify
+gives on a fresh space and map.
 """
 
 import itertools
@@ -132,33 +133,54 @@ def test_the_contraction_sweep_matches_the_product_loop(shape, metric):
     assert _suite_contraction([(shape, metric)]) == contraction_loop([fresh(shape, metric)])
 
 
+def recording(calls: list):
+    """fixpoint._kannan_conclusions, appending (map values, tuples,
+    reports) to calls."""
+    conclusions = fixpoint._kannan_conclusions
+
+    def recorded(space, t, hypothesis, tuples):
+        reports = conclusions(space, t, hypothesis, tuples)
+        calls.append((t.values, list(tuples), reports))
+        return reports
+
+    return recorded
+
+
 @pytest.mark.parametrize("grid", KANNAN_GRIDS.values(), ids=KANNAN_GRIDS.keys())
 @pytest.mark.parametrize("shape, metric", KANNAN_CASES, ids=ids(KANNAN_CASES))
 def test_the_two_coefficient_sweep_matches_the_product_loop(shape, metric, grid, monkeypatch):
     looped = two_coefficient_loop([fresh(shape, metric)], grid)
-    calls = Counter()
-    for name in ("kannan_verify", "_kannan_conclusion"):
-        monkeypatch.setattr(fixpoint, name, counting(calls, name, getattr(fixpoint, name)))
+    space = fresh(shape, metric)
+    admitted = [
+        f.values
+        for f in enumerate_selfmaps(space.image)
+        if any(contracts.check_kannan(space, f, a, b).holds for a, b in grid)
+    ]
+    calls, conclusions = Counter(), []
+    name = "kannan_verify"
+    monkeypatch.setattr(fixpoint, name, counting(calls, name, getattr(fixpoint, name)))
+    monkeypatch.setattr(fixpoint, "_kannan_conclusions", recording(conclusions))
     assert _suite_two_coefficient([(shape, metric)], grid) == looped
-    # Only the hypothesis-true (map, tuple) instances reach the conclusion
-    # step, and none is decided again by kannan_verify.
+    # One conclusion call per hypothesis-true map, in table order, covering
+    # its hypothesis-true tuples; none is decided again by kannan_verify.
     hits = looped.evidence["confirmed"] + looped.evidence["refuted"]
-    assert calls == Counter(_kannan_conclusion=hits)
+    assert not calls
+    assert [values for values, _, _ in conclusions] == admitted
+    assert sum(len(tuples) for _, tuples, _ in conclusions) == hits
 
 
 @pytest.mark.parametrize("grid", KANNAN_GRIDS.values(), ids=KANNAN_GRIDS.keys())
 @pytest.mark.parametrize("shape, metric", KANNAN_CASES, ids=ids(KANNAN_CASES))
 def test_each_tallied_report_is_kannan_verify_on_a_fresh_space(shape, metric, grid, monkeypatch):
-    tallied, conclusion = [], fixpoint._kannan_conclusion
-
-    def recording(space, t, hypothesis, a, b):
-        report = conclusion(space, t, hypothesis, a, b)
-        tallied.append((t.values, a, b, report))
-        return report
-
-    monkeypatch.setattr(fixpoint, "_kannan_conclusion", recording)
+    conclusions = []
+    monkeypatch.setattr(fixpoint, "_kannan_conclusions", recording(conclusions))
     entry = _suite_two_coefficient([(shape, metric)], grid)
     monkeypatch.undo()
+    tallied = [
+        (values, a, b, report)
+        for values, tuples, reports in conclusions
+        for (a, b), report in zip(tuples, reports, strict=True)
+    ]
     assert len(tallied) == entry.evidence["confirmed"] + entry.evidence["refuted"]
     for values, a, b, report in tallied:
         space = fresh(shape, metric)
@@ -256,7 +278,8 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         (search.fixpoint, "kannan_verify"),
         (search.fixpoint, "banach_verify"),
         (search.contracts, "check_saluja"),
-        (search.fixpoint, "_kannan_conclusion"),
+        (search.fixpoint, "_kannan_conclusions"),
+        (search.fixpoint, "_confirm"),
         (search, "enumerate_tables"),
         (mapkit, "_iterate"),
         (SelfMap, "__post_init__"),
@@ -282,16 +305,20 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
     evidence = {e.name: e.evidence for e in report.entries}
     # The product loops made 8,490 kannan_verify and 849 banach_verify
     # calls.  The sweep's masks decide the two-coefficient hypotheses, so
-    # only the conclusion step runs, once per hypothesis-true (map, tuple)
-    # of each distinct distance table.  The six interval spaces have two:
-    # l1, l2 and the word metric agree on an interval.  Each space swept
-    # made 246 conclusion steps and 21 banach_verify calls, the confirmed
-    # counts, which stay.
+    # only the conclusion step runs, once per hypothesis-true map of each
+    # distinct distance table, under all its hypothesis-true tuples.  The
+    # six interval spaces have two tables: l1, l2 and the word metric agree
+    # on an interval.  Each space swept made 246 conclusion steps and 21
+    # banach_verify calls, the confirmed counts, which stay; one conclusion
+    # step per hypothesis-true (map, tuple) made 82.  Each conclusion call
+    # and banach_verify scans its map's fixed points and orbits once: one
+    # scan per (map, tuple) made 89.
     assert calls["kannan_verify"] == 0
-    assert calls["_kannan_conclusion"] == 82
+    assert calls["_kannan_conclusions"] == 11
     assert evidence["two-coefficient-theorem-exhaustive"]["confirmed"] == 246
     assert calls["banach_verify"] == 7
     assert evidence["contraction-theorem-exhaustive"]["confirmed"] == 21
+    assert calls["_confirm"] == 18
     # The prefix decides the bound on every pair it admits: only the
     # constructed pair is checked.
     assert calls["check_saluja"] == 1
@@ -308,10 +335,11 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         "contraction-theorem-exhaustive": (6, 2),
         "two-coefficient-theorem-exhaustive": (6, 2),
     }
-    # The key count is exact because each leaf reads all n^2 of its pairs:
-    # all 278 are the sweep's.  Each space swept made 834, one enumeration
-    # per space and tuple 6,996.
-    assert calls["_kannan_terms"] == 278
+    # The key count is exact: the narrowing reads 123 keys, and each of the
+    # 11 leaves (3 of 3 points, 8 of 4) reads its pairs i <= j, 98 keys;
+    # reading all n^2 made 155, 278 in all.  Each space swept made 834, one
+    # enumeration per space and tuple 6,996.
+    assert calls["_kannan_terms"] == 221
     # Each of the two tables' 58 distinct Kannan keys is decided once, for
     # the whole grid: each space swept made 174, and deciding each key
     # under each of the ten tuples 1,740.
