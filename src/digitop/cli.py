@@ -12,22 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import fixpoint, mapkit, metric, search
-from .contracts import (
-    DOMINATION,
-    FIVE_TERM,
-    QUASI,
-    SUM_BOUND,
-    compatible,
-    lipschitz_min,
-    minimal_constant,
-    parv_rational_check,
-    weakly_commutative,
-)
+from . import contracts, fixpoint, mapkit, metric, search
 from .documents import (
     DocumentError,
     ParsedDocument,
@@ -54,28 +45,40 @@ def _value_json(v):
     return float(v)
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# The JSON text of a scalar, by its exact type; json spells NaN and ±inf.
+_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
 
 
 def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte.  A report's
-    str, int, bool, None, list and str-keyed dict skip the pure-Python encoder
-    that ``indent`` selects; anything else goes to ``json.dumps``, re-indented."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, with no
+    call per scalar: a list or str-keyed dict writes its scalar members, and a
+    list of points (lists of exact ints) every coordinate, in its own join.
+    Anything else goes to ``json.dumps``, re-indented."""
     kind = type(value)
-    if kind is str:
-        return _json_str(value)
-    if kind is int:
-        return repr(value)
-    if value is None or kind is bool:
-        return _JSON_CONSTANTS[value]
+    scalar = _SCALARS.get(kind)
+    if scalar:
+        return scalar(value)
     inner = indent + "  "
     if kind is list and value:
-        # A point, a list of exact ints, renders without a call per coordinate.
-        exact = all(type(v) is int for v in value)
-        rows = map(repr, value) if exact else [_json(v, inner) for v in value]
+        points = set(map(type, value)) == {list} and all(value)
+        if points and set(map(type, chain(*value))) == {int}:
+            sep = f",\n{inner}  "
+            rows = [f"[\n{inner}  " + sep.join(map(repr, p)) + f"\n{inner}]" for p in value]
+        else:
+            rows = [s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner) for v in value]
         return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]"
-    if kind is dict and value and all(type(k) is str for k in value):
-        rows = [f"{_json_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+    if kind is dict and value and set(map(type, value)) == {str}:
+        rows = []
+        for k in sorted(value):
+            v = value[k]
+            s = _SCALARS.get(type(v))
+            rows.append(f"{_json_str(k)}: {s(v) if s else _json(v, inner)}")
         return f"{{\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}}}"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
@@ -143,11 +146,7 @@ def _cmd_check_map(args, parser) -> int:
 
 
 def _classify_finite_single(space, m) -> list[dict]:
-    constants = (
-        ("contraction", lipschitz_min(space, m)),
-        ("quasi-max", minimal_constant(space, QUASI, m)[0]),
-        ("five-term-max", minimal_constant(space, FIVE_TERM, m)[0]),
-    )
+    constants = zip(("contraction", "quasi-max", "five-term-max"), contracts.classify(space, m))
     tol = space.comparison_tolerance
     return [
         {
@@ -155,14 +154,13 @@ def _classify_finite_single(space, m) -> list[dict]:
             "minimal_constant": _value_json(c),
             "holds_below_one": exact_lt(c, 1, tol),
         }
-        for label, c in constants
+        for label, (c, _, _) in constants
     ]
 
 
 def _classify_finite_pair(space, first, second) -> list[dict]:
-    dom, _, dom_no_finite = minimal_constant(space, DOMINATION, first, second)
-    sal, _, sal_no_finite = minimal_constant(space, SUM_BOUND, first, second)
-    wc, rat = weakly_commutative(space, first, second), parv_rational_check(space, first, second)
+    (dom, _, dom_no_finite), (sal, _, sal_no_finite), rat = contracts.classify(space, first, second)
+    wc = contracts.weakly_commutative(space, first, second)
     return [
         {
             "condition": "domination-of-second-by-first",
@@ -177,7 +175,7 @@ def _classify_finite_pair(space, first, second) -> list[dict]:
             "both_constant": first.is_constant and second.is_constant,
         },
         {"condition": "weakly-commutative", "holds": wc.holds},
-        {"condition": "compatible", "holds": compatible(space, first, second).holds},
+        {"condition": "compatible", "holds": contracts.compatible(space, first, second).holds},
         {
             "condition": "rational-two-map",
             "holds_on_defined_pairs": rat.holds,

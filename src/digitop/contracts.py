@@ -20,9 +20,10 @@ carry exact=False.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, NamedTuple
 
@@ -308,25 +309,32 @@ SUM_BOUND = Condition(_saluja_terms, _bound)
 RATIONAL = Condition(_rational_terms, _rational_bound, across=True)
 
 
-def _keys(space: DigitalMetricSpace, cond: Condition, *maps: SelfMap) -> dict:
-    """cond's distinct level keys on the table of one map, or of two (the
-    first map's positions, then the second's), each with its first pair
-    (i, j), in lexicographic pair order with the diagonal.  A symmetric
-    row reads the pairs i <= j only, where each key's first pair lies."""
+@lru_cache(maxsize=32)
+def _pairs(n: int, across: bool) -> tuple:
+    """The pairs a row reads on n positions (i <= j unless across), in order, and their i, j."""
+    ks = range(n)
+    pairs = tuple(product(ks, ks) if across else combinations_with_replacement(ks, 2))
+    return pairs, tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
+
+
+def _keys(space: DigitalMetricSpace, rows, *maps: SelfMap) -> list[dict]:
+    """Each row's distinct level keys on the table of one map, or two (the first's positions,
+    then the second's), each with its first pair (i, j) in lexicographic order with the diagonal
+    (a symmetric row reads i <= j only, where it lies), by one C-level map over _pairs per row."""
     table = sum((_positions(space, f) for f in maps), ())
-    key = partial(cond.terms, space.rank, *(len(space),) * (len(maps) - 1), table)
-    ks, keys = range(len(space)), {}
-    pairs = product(ks, ks) if cond.across else combinations_with_replacement(ks, 2)
-    for i, j in pairs:
-        keys.setdefault(key(i, j), (i, j))
-    return keys
+    fixed = (space.rank, *(len(space),) * (len(maps) - 1), table)
+    found = [{} for _ in rows]
+    for cond, keys in zip(rows, found):
+        pairs, first, second = _pairs(len(space), cond.across)
+        deque(map(keys.setdefault, map(partial(cond.terms, *fixed), first, second), pairs), 0)
+    return found
 
 
 def minimal_constant(space: DigitalMetricSpace, cond: Condition, *maps: SelfMap) -> tuple:
     """(constant, worst, no_finite) of a bound row on maps: the least
     coefficient under which it holds, the first pair reaching it, and
     whether no coefficient does (_constant)."""
-    return _constant(space, _keys(space, cond, *maps))
+    return _constant(space, _keys(space, (cond,), *maps)[0])
 
 
 def _check(
@@ -334,7 +342,7 @@ def _check(
 ) -> ConditionReport:
     """The pairwise checkers' one body: cond's report on maps under a grid
     of one coefficient (or none), with its _constant if minimal."""
-    keys = _keys(space, cond, *maps)
+    (keys,) = _keys(space, (cond,), *maps)
     constant = _constant(space, keys) if minimal else None
     return _report(space, _witness(space, keys, verdicts(space, cond, grid)), constant)
 
@@ -407,12 +415,25 @@ def parv_rational_check(space: DigitalMetricSpace, t: SelfMap, s: SelfMap) -> Co
     denominator is positive there), so no division is ever performed;
     it is decided once per five-level key in the space's memo.
     """
-    report = _check(space, RATIONAL, (), False, t, s)
+    return _rational_report(space, *_keys(space, (RATIONAL,), t, s), t, s)
+
+
+def _rational_report(space: DigitalMetricSpace, keys: dict, t: SelfMap, s: SelfMap):
+    report = _report(space, _witness(space, keys, verdicts(space, RATIONAL, ())))
     pts, tv, sv = space.points, t.indices, s.indices
     # Undefined where d(x, Sy) = d(y, Tx) = 0, that is Tx = y and Sy = x:
     # each x has one candidate y.
     undefined = tuple((pts[x], pts[y]) for x, y in enumerate(tv) if sv[y] == x)
     return dataclasses.replace(report, undefined_pairs=undefined)
+
+
+def classify(space: DigitalMetricSpace, *maps: SelfMap) -> tuple:
+    """``digitop classify``'s minimal constants and rational report, from one _keys call."""
+    if len(maps) == 1:
+        keys = _keys(space, (CONTRACTION, QUASI, FIVE_TERM), *maps)
+        return tuple(_constant(space, k) for k in keys)
+    dom, sal, rational = _keys(space, (DOMINATION, SUM_BOUND, RATIONAL), *maps)
+    return _constant(space, dom), _constant(space, sal), _rational_report(space, rational, *maps)
 
 
 def weakly_commutative(space: DigitalMetricSpace, s: SelfMap, t: SelfMap) -> ConditionReport:

@@ -77,7 +77,10 @@ def _as_rational(value, path: str) -> Fraction:
     raise DocumentError(path, f"expected a rational, got {value!r}")
 
 
-def _parse_point(value, dimension: int, path: str) -> tuple:
+def _parse_point(value, dimension: int, index: int) -> tuple:
+    if type(value) is list and len(value) == dimension and set(map(type, value)) == {int}:
+        return tuple(value)
+    path = f"points[{index}]"  # formatted only for an error
     if not isinstance(value, list):
         raise DocumentError(path, f"expected a coordinate array, got {value!r}")
     if len(value) != dimension:
@@ -154,9 +157,7 @@ def parse_document(obj) -> ParsedDocument:
 
     if not isinstance(points, list) or not points:
         raise DocumentError("points", 'expected a non-empty array of points, or "Z"')
-    parsed = [
-        _parse_point(p, dimension, f"points[{i}]") for i, p in enumerate(points)
-    ]
+    parsed = [_parse_point(p, dimension, i) for i, p in enumerate(points)]
     if len(set(parsed)) != len(parsed):
         raise DocumentError("points", "duplicate points")
     try:

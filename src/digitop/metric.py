@@ -103,6 +103,7 @@ class DigitalMetricSpace:
         self._image = image
         self._metric = metric
         self._norms: dict = {}
+        self._exponents = None  # general l_p's exponent and its inverse, as mpf
         self.verdicts: dict = {}
         exact = isinstance(metric, ShortestPath) or metric.p in (1, 2)
         self._tolerance = None if exact else LP_FLOAT_TOLERANCE
@@ -159,9 +160,16 @@ class DigitalMetricSpace:
                 import mpmath  # only general l_p needs it; loading it costs start-up
 
                 with mpmath.workdps(_MP_DPS):
-                    exponent = mpmath.mpf(p.numerator) / p.denominator
-                    total = mpmath.fsum(mpmath.power(g, exponent) for g in gaps)
-                    value = mpmath.power(total, 1 / exponent)
+                    if self._exponents is None:
+                        exponent = mpmath.mpf(p.numerator) / p.denominator
+                        self._exponents = exponent, 1 / exponent
+                    exponent, inverse = self._exponents
+                    # An integer p's sum in ints, when it fits the working
+                    # precision, is what fsum of the exact terms gives.
+                    total = sum(g**p.numerator for g in gaps) if p.denominator == 1 else None
+                    if total is None or total.bit_length() > mpmath.mp.prec:
+                        total = mpmath.fsum(mpmath.power(g, exponent) for g in gaps)
+                    value = mpmath.power(mpmath.mpf(total), inverse)
             self._norms[gaps] = value
         return value
 
@@ -170,18 +178,24 @@ class DigitalMetricSpace:
         when the first of them is read; later reads find them directly."""
         if name not in ("_matrix", "levels", "rank"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n, metric = len(self), self._metric
+        ks, metric = range(len(self)), self._metric
         if isinstance(metric, ShortestPath):
-            rows = map(self._image.hops, range(n))
-            matrix = tuple(tuple(map(row.__getitem__, range(n))) for row in rows)
+            matrix = rank = tuple(tuple(map(self._image.hops(i).__getitem__, ks)) for i in ks)
+            # A connected image's hop counts take every value up to its diameter.
+            levels = tuple(range(max(map(max, matrix)) + 1))
         else:
-            pts, norm = self._image.points, self._norm
-            matrix = tuple(tuple(norm(_gaps(x, y)) for y in pts) for x in pts)
-        values = dict.fromkeys(itertools.chain.from_iterable(matrix))
-        exact_l2 = isinstance(metric, Lp) and metric.p == 2
-        levels = tuple(sorted(values, key=_square if exact_l2 else None))
-        level = {value: k for k, value in enumerate(levels)}
-        rank = tuple(tuple(map(level.__getitem__, row)) for row in matrix)
+            # Each pair i <= j hashes its gap vector once, to the vector's id;
+            # each distinct value is hashed once, and the matrix and rank read
+            # a value and a level by id, so no value is hashed per pair.
+            pts, ids = self._image.points, {}
+            grid = [[0] * len(pts) for _ in pts]
+            for (i, x), (j, y) in itertools.combinations_with_replacement(enumerate(pts), 2):
+                grid[i][j] = grid[j][i] = ids.setdefault(_gaps(x, y), len(ids))
+            values = list(map(self._norm, ids))
+            levels = tuple(sorted(set(values), key=_square if metric.p == 2 else None))
+            at = list(map({v: k for k, v in enumerate(levels)}.__getitem__, values))
+            matrix = tuple(map(tuple, map(map, itertools.repeat(values.__getitem__), grid)))
+            rank = tuple(map(tuple, map(map, itertools.repeat(at.__getitem__), grid)))
         self.__dict__.update(_matrix=matrix, levels=levels, rank=rank)
         return self.__dict__[name]
 

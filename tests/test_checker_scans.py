@@ -63,7 +63,7 @@ def instances(space, name):
 def test_the_keys_are_those_of_every_ordered_pair(space, name):
     cond = ROWS[name]
     for maps in instances(space, name):
-        keys = contracts._keys(space, cond, *maps)
+        (keys,) = contracts._keys(space, (cond,), *maps)
         expected = full_keys(space, cond, *maps)
         assert list(keys.items()) == list(expected.items()), [str(f) for f in maps]
 

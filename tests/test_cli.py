@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import digitop
 from digitop import cli, mapkit
@@ -82,10 +84,40 @@ def json_reports_match_the_standard_library(monkeypatch):
         [0, -1, 10**40],
         [[0, 1], [2]],
         [Level.ONE, 2],
+        [[1, True]],
+        [[1, 2.0]],
+        [[1], []],
+        [[1], [[2]]],
+        [[0, 1], [float("nan")]],
+        [[-3, 10**40], [0, -1]],
+        {"a": True, "b": 1, "c": 1.5, "d": float("inf")},
+        [True, 1, None, "x"],
     ],
     ids=repr,
 )
 def test_json_rendering_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.integers(), children),
+    max_leaves=25,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(JSON_LIKE)
+def test_json_rendering_matches_json_dumps_on_any_json_like_value(value):
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

@@ -199,6 +199,8 @@ def test_points_validation():
         parse_document(finite_doc(points=[[0], [1, 2]]))
     with pytest.raises(DocumentError, match=r"points\[0\]\[0\]: expected an integer"):
         parse_document(finite_doc(points=[[0.5], [1]]))
+    with pytest.raises(DocumentError, match=r"points\[2\]\[1\]: expected an integer, got True"):
+        parse_document(finite_doc(dimension=2, points=[[0, 0], [0, 1], [1, True]]))
 
 
 # -- map entries -----------------------------------------------------

@@ -38,6 +38,8 @@ def test_level_order(space):
     for lower, upper in zip(levels, levels[1:]):
         assert lower < upper if tol is not None else exact.compare(lower, upper) < 0
     n = len(space)
+    # The levels are the distinct distances, no more (shortest path's too).
+    assert set(levels) == {space.index_distance(i, j) for i in range(n) for j in range(n)}
     for i in range(n):
         for j in range(n):
             value = levels[rank[i][j]]

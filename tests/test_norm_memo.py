@@ -26,8 +26,10 @@ IMAGES = (
     + [DigitalImage(GRID3, adj) for adj in (C1, C2)]
     + [DigitalImage(CUBE, C1), DigitalImage(NEGATIVE, C1)]
 )
-METRICS = (L1, L2, Lp(3), Lp("3/2"), SHORTEST_PATH)
-SPACES = [DigitalMetricSpace(img, m) for img in IMAGES for m in METRICS]
+METRICS = (L1, L2, Lp(3), Lp(4), Lp("3/2"), SHORTEST_PATH)
+# Under l3 the gap 10**50 cubed passes the 40-digit working precision.
+BEYOND_PRECISION = DigitalMetricSpace(DigitalImage([(0,), (10**50,)], C1), Lp(3))
+SPACES = [DigitalMetricSpace(img, m) for img in IMAGES for m in METRICS] + [BEYOND_PRECISION]
 
 
 def pairwise_distance(space, x, y):
@@ -101,5 +103,17 @@ def test_each_gap_vector_is_evaluated_once(space, monkeypatch):
     elif p == 2:
         assert calls == Counter(sqrt_exact=len(gaps))
     else:
-        # One power per coordinate and one for the root, per gap vector.
-        assert calls == Counter(power=len(gaps) * (fresh.image.dimension + 1))
+        # An integer p sums a gap vector's powers in ints and takes one
+        # power for the root, while the sum fits the working precision;
+        # otherwise one power per coordinate and one for the root.
+        with mpmath.workdps(40):
+            prec = mpmath.mp.prec
+
+        def powers(g):
+            if p.denominator == 1 and sum(c**p.numerator for c in g).bit_length() <= prec:
+                return 1
+            return fresh.image.dimension + 1
+
+        assert calls == Counter(power=sum(map(powers, gaps)))
+        if p.denominator > 1:
+            assert calls == Counter(power=len(gaps) * (fresh.image.dimension + 1))
