@@ -49,7 +49,6 @@ from .mapkit import (
     EVENTUALLY_CONSTANT,
     EVENTUALLY_PERIODIC,
     FppVerdict,
-    MapPair,
     MapValidationError,
     OrbitReport,
     SelfMap,
@@ -91,14 +90,12 @@ from .space import (
     C2,
     Adjacency,
     DigitalImage,
-    PathVerdict,
     Point,
     adjacent,
     as_point,
     components,
     digital_interval,
     is_connected,
-    is_path,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

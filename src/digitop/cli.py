@@ -88,16 +88,20 @@ def _emit(args, payload: dict, lines) -> None:
     print(_json(payload) if args.format == "json" else "\n".join(lines()))
 
 
-def _require_map(args, parser) -> str:
+def _document_map(args, parser) -> tuple[ParsedDocument, str, object]:
+    """The --space document, the --map name and its map: the document is
+    loaded first, so its errors come before a missing --map."""
+    doc = load_document(args.space)
     if not args.map:
         parser.error(f"{args.command} requires --map")
-    return args.map
+    return doc, args.map, doc.get_map(args.map)
 
 
-def _finite_space(doc: ParsedDocument):
+def _finite_document(args) -> ParsedDocument:
+    doc = load_document(args.space)
     if doc.is_integer_line:
         raise DocumentError("points", "this command needs a finite space document")
-    return doc.space
+    return doc
 
 
 def _affine_report(args, payload: dict, m: AffineMapZ) -> int:
@@ -117,9 +121,7 @@ def _fixes_line(fixes) -> str:
 
 
 def _cmd_check_map(args, parser) -> int:
-    doc = load_document(args.space)
-    name = _require_map(args, parser)
-    m = doc.get_map(name)
+    doc, name, m = _document_map(args, parser)
     if isinstance(m, AffineMapZ):
         payload = {"command": "check-map", "map": name, "affine": {"p": m.p, "q": m.q}}
         return _affine_report(args, payload, m)
@@ -206,9 +208,7 @@ def _classify_affine(doc, m, map2_name) -> list[dict]:
 
 
 def _cmd_classify(args, parser) -> int:
-    doc = load_document(args.space)
-    name = _require_map(args, parser)
-    m = doc.get_map(name)
+    doc, name, m = _document_map(args, parser)
     if doc.is_integer_line:
         rows = _classify_affine(doc, m, args.map2)
     elif args.map2 is not None:
@@ -253,9 +253,7 @@ def _orbit_text(rep: OrbitReport) -> str:
 
 
 def _cmd_fix(args, parser) -> int:
-    doc = load_document(args.space)
-    name = _require_map(args, parser)
-    m = doc.get_map(name)
+    doc, name, m = _document_map(args, parser)
     given = (("--start", args.start), ("--max-steps", args.max_steps))
     if isinstance(m, AffineMapZ):
         # The affine report runs no orbit, so it reads none of these flags.
@@ -293,22 +291,22 @@ def _cmd_fix(args, parser) -> int:
     return 0
 
 
+def _decode(flag: str, text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # not JSON, too many digits or too deep
+        raise DocumentError(flag, f"not {what}: {text!r}") from None
+
+
 def _parse_start(text: str):
     try:
-        decoded = json.loads(text)
-    except (ValueError, RecursionError):  # not JSON, too many digits or too deep
-        raise DocumentError("--start", f"not a point: {text!r}") from None
-    try:
-        return as_point(decoded)
+        return as_point(_decode("--start", text, "a point"))
     except TypeError as err:
         raise DocumentError("--start", str(err)) from None
 
 
 def _parse_point_set(doc: ParsedDocument, text: str, flag: str):
-    try:
-        decoded = json.loads(text)
-    except (ValueError, RecursionError):  # not JSON, too many digits or too deep
-        raise DocumentError(flag, f"not a point array: {text!r}") from None
+    decoded = _decode(flag, text, "a point array")
     if not isinstance(decoded, list) or not decoded:
         raise DocumentError(flag, "expected a nonempty JSON array of points")
     try:
@@ -322,8 +320,7 @@ def _parse_point_set(doc: ParsedDocument, text: str, flag: str):
 
 
 def _cmd_hausdorff(args, parser) -> int:
-    doc = load_document(args.space)
-    _finite_space(doc)
+    doc = _finite_document(args)
     first = _parse_point_set(doc, args.first, "--first")
     second = _parse_point_set(doc, args.second, "--second")
     value = metric.hausdorff(doc.space, first, second)
@@ -333,8 +330,7 @@ def _cmd_hausdorff(args, parser) -> int:
 
 
 def _cmd_fpp(args, parser) -> int:
-    doc = load_document(args.space)
-    _finite_space(doc)
+    doc = _finite_document(args)
     verdict = mapkit.has_fpp(doc.image, restrict_continuous=not args.all_maps)
     payload = {
         "command": "fpp",

@@ -221,17 +221,14 @@ def _parse_map_entry(entry, path, seen, dimension, image):
     pairs = entry["pairs"]
     if not isinstance(pairs, list):
         raise DocumentError(f"{path}.pairs", "expected an array of [input, output] pairs")
-    raw = []
     for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError(
                 f"{path}.pairs[{i}]", f"expected an [input, output] pair, got {pair!r}"
             )
-        key, value = pair
-        # Output coordinates stay raw: validation rejects non-lattice
-        # values with the offending input point named.
-        raw.append((key, value))
-    return name, validate_selfmap(image, raw)
+    # Output coordinates stay raw: validation rejects non-lattice
+    # values with the offending input point named.
+    return name, validate_selfmap(image, pairs)
 
 
 def serialize_document(doc: ParsedDocument) -> dict:

@@ -105,18 +105,6 @@ class SelfMap:
         return "{" + pairs + "}"
 
 
-@dataclass(frozen=True)
-class MapPair:
-    """Two self-maps sharing one domain."""
-
-    first: SelfMap
-    second: SelfMap
-
-    def __post_init__(self):
-        if self.first.domain != self.second.domain:
-            raise ValueError("a map pair must share its domain")
-
-
 def compose(outer: SelfMap, inner: SelfMap) -> SelfMap:
     """The self-map x -> outer(inner(x))."""
     if outer.domain != inner.domain:

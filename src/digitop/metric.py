@@ -165,8 +165,13 @@ class DigitalMetricSpace:
                         self._exponents = exponent, 1 / exponent
                     exponent, inverse = self._exponents
                     # An integer p's sum in ints, when it fits the working
-                    # precision, is what fsum of the exact terms gives.
-                    total = sum(g**p.numerator for g in gaps) if p.denominator == 1 else None
+                    # precision, is what fsum of the exact terms gives.  A gap
+                    # of b bits has a power of more than p * (b - 1) bits, so a
+                    # sum that cannot fit goes to fsum before it is built.
+                    fits = p.denominator == 1 and (
+                        p.numerator * (max(gaps).bit_length() - 1) < mpmath.mp.prec
+                    )
+                    total = sum(g**p.numerator for g in gaps) if fits else None
                     if total is None or total.bit_length() > mpmath.mp.prec:
                         total = mpmath.fsum(mpmath.power(g, exponent) for g in gaps)
                     value = mpmath.power(mpmath.mpf(total), inverse)

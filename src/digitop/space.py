@@ -9,11 +9,10 @@ All values here are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import NamedTuple
 
 Point = tuple[int, ...]
 
@@ -197,30 +196,3 @@ def components(img: DigitalImage) -> tuple[tuple[Point, ...], ...]:
 
 def is_connected(img: DigitalImage) -> bool:
     return len(components(img)) == 1
-
-
-class PathVerdict(NamedTuple):
-    """Result of checking a candidate path; length is the edge count."""
-
-    ok: bool
-    length: int | None
-    first_bad_index: int | None
-
-
-def is_path(img: DigitalImage, seq: Sequence) -> PathVerdict:
-    """Check that consecutive members of seq are adjacent in img.
-
-    Returns the path length (len(seq) - 1) on success, or the index of
-    the first non-adjacent consecutive pair.  Points outside the image
-    are an error, not a rejection.
-    """
-    pts = [as_point(p) for p in seq]
-    if not pts:
-        raise ValueError("a path needs at least one point")
-    for p in pts:
-        if p not in img:
-            raise ValueError(f"point {fmt_point(p)} not in image")
-    for i, (a, b) in enumerate(itertools.pairwise(map(img.index.__getitem__, pts))):
-        if b not in img.neighbor_indices[a]:
-            return PathVerdict(False, None, i)
-    return PathVerdict(True, len(pts) - 1, None)

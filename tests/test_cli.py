@@ -240,6 +240,14 @@ def test_check_map_requires_map_flag(finite, capsys):
     assert "requires --map" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check-map", "classify", "fix"])
+def test_malformed_document_is_reported_before_a_missing_map(tmp_path, capsys, command):
+    bad = write(tmp_path, "bad.json", {"dimension": 1})
+    code, out, err = run([command, "--space", bad], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: document: missing field(s): adjacency, metric, points\n"
+
+
 # -- classify --------------------------------------------------------
 
 
@@ -934,12 +942,10 @@ def test_options_a_command_does_not_read_are_refused(finite, capsys, argv):
 
 
 def test_finite_command_on_integer_line(integer_line, capsys):
-    code, _, err = run(
-        ["hausdorff", "--space", integer_line, "--first", "[[0]]", "--second", "[[1]]"],
-        capsys,
-    )
-    assert code == 2
-    assert "needs a finite space document" in err
+    for command, *rest in (["hausdorff", "--first", "[[0]]", "--second", "[[1]]"], ["fpp"]):
+        code, out, err = run([command, "--space", integer_line, *rest], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: points: this command needs a finite space document\n"
 
 
 def child_env(**extra):

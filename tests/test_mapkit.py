@@ -28,7 +28,6 @@ from digitop.mapkit import (
     MapValidationError,
     OrbitReport,
     SelfMap,
-    MapPair,
     accumulation_points,
     affine_analyze,
     affine_dominates,
@@ -105,12 +104,6 @@ def test_from_dict_rejects_partial_and_unknown():
     with pytest.raises(MapValidationError) as err:
         make(I2, {0: 0, 1: 1, 9: 0})
     assert err.value.kind == "unknown-point"
-
-
-def test_map_pair_requires_shared_domain():
-    with pytest.raises(ValueError):
-        MapPair(SelfMap.identity(I2), SelfMap.identity(I4))
-    MapPair(SelfMap.identity(I2), SelfMap.constant(I2, 0))  # fine
 
 
 def test_compose():

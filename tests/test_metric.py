@@ -6,9 +6,11 @@ a float cross-check where the regime is inexact anyway).
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import cmp_to_key
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +114,23 @@ def test_general_lp_matches_float_formula():
     sp = DigitalMetricSpace(DigitalImage([(0, 0), (1, 2)]), Lp(3))
     d = sp.distance((0, 0), (1, 2))
     assert abs(float(d) - (1 + 2**3) ** (1 / 3)) < 1e-12
+
+
+def test_large_integer_exponent_builds_no_power_in_ints():
+    # 2 ** (10**8) has 10**8 + 1 bits, far past the 40-digit working
+    # precision: the norm goes to fsum without building that int.
+    sp = DigitalMetricSpace(DigitalImage([(0,), (2,)]), Lp(10**8))
+    tracemalloc.start()
+    try:
+        d = sp.distance((0,), (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with mpmath.workdps(40):
+        exponent = mpmath.mpf(10**8)
+        want = mpmath.power(mpmath.fsum([mpmath.power(2, exponent)]), 1 / exponent)
+    assert d._mpf_ == want._mpf_
+    assert peak < 2**20
 
 
 def test_distance_rejects_outside_points():

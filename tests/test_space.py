@@ -24,7 +24,6 @@ from digitop.space import (
     digital_interval,
     fmt_point,
     is_connected,
-    is_path,
 )
 
 
@@ -264,19 +263,6 @@ def test_diagonal_pair_connectivity_depends_on_u():
     pts = [(0, 0), (1, 1)]
     assert not is_connected(DigitalImage(pts, C1))
     assert is_connected(DigitalImage(pts, C2))
-
-
-def test_is_path():
-    img = digital_interval(0, 3)
-    ok = is_path(img, [0, 1, 2, 3])
-    assert ok == (True, 3, None)
-    bad = is_path(img, [0, 2, 3])
-    assert bad.ok is False and bad.first_bad_index == 0
-    assert is_path(img, [1]) == (True, 0, None)
-    with pytest.raises(ValueError):
-        is_path(img, [])
-    with pytest.raises(ValueError):
-        is_path(img, [0, 9])
 
 
 @given(st.sets(st.integers(-8, 8), min_size=1, max_size=9))
