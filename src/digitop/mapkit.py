@@ -318,52 +318,53 @@ def enumerate_selfmaps(img: DigitalImage) -> Iterator[SelfMap]:
 
 
 class Lanes(list):
-    """Domains for enumerate_tables that carry count nested constraints
-    through one enumeration.  Each domain, and each mask of a narrowing row,
-    packs count lanes of width bits: lane c, bits c*width on, holds the
-    values entry k may take under the c-th constraint, each lane a subset of
-    the one before.  Only lane 0's values are tried.  A set of lanes holds
-    each one's lowest bit, so a set shifted left by v is value v in each of
-    its lanes, and a domain shifted right by v and ANDed with a set keeps
-    the lanes of the set that hold v.  As the lanes nest, the only sets met
-    are upto[m], lanes 0 to m - 1, of size m.  While enumerate_tables runs,
-    sets[-2] after each yield is the set of the lanes that allow the table.
-    Plain domains are one lane."""
+    """Domains for enumerate_tables that carry count constraints through one
+    enumeration.  Each domain, and each mask of a narrowing row, packs
+    lanes of width bits: lane c, bits c*width on, holds the values entry k
+    may take.  Constraint c lives in lane c + 1, and lane 0, their union,
+    is the only lane whose values are tried.  A set of lanes holds each
+    one's lowest bit, so a set shifted left by v is value v in each of its
+    lanes, and a domain shifted right by v and ANDed with a set keeps the
+    lanes of the set that hold v.  While enumerate_tables runs, sets[-2]
+    after each yield is the set of the lanes that allow the table: lane 0
+    and one per constraint it meets, bit_count() - 1 of them.  Plain
+    domains are lane 0 alone, with no constraint to name or hold."""
 
-    full, upto = -1, (0, 1)  # lane 0's bits, and the sets of lanes, for one lane
+    full, width, every_lane = -1, 0, 1  # lane 0's bits, lane width and set of all lanes
 
-    def __init__(self, domains=(), width: int = 0, count: int = 1):
+    def __init__(self, domains=(), width: int = 0, count: int = 0):
         super().__init__(domains)
-        if count > 1:
-            self.full, self.upto = (1 << width) - 1, [0]
-            for _ in range(count):
-                self.upto.append(self.upto[-1] << width | 1)
+        if count:
+            self.full, self.width = (1 << width) - 1, width
+            self.every_lane = ((1 << width * (count + 1)) - 1) // self.full
 
     def every(self, values: int) -> int:
         """The same values in every lane."""
-        return values * self.upto[-1]
+        return values * self.every_lane
 
-    def size(self, lanes: int) -> int:
-        """The number of lanes in a set of them."""
-        return self.upto.index(lanes)
+    def constraints(self, lanes: int) -> list[int]:
+        """The constraints, ascending, whose lanes a set holds."""
+        lowest = format(lanes, "b")[::-1][self.width :: self.width]  # lane c + 1's at index c
+        return [c for c, bit in enumerate(lowest) if bit == "1"]
 
     def holding(self) -> dict:
         """The set of lanes each verdict holds in, by verdict, decided on
-        first use: bit c of a verdict is lane c's, and as the lanes nest, it
-        holds in those below its bit_length.  In one lane any nonzero
-        verdict holds."""
-        return _Holding(self.upto)
+        first use: bit c of a verdict is constraint c's, so lane c + 1's,
+        and a nonzero verdict holds in lane 0."""
+        return _Holding(self.width)
 
 
 class _Holding(dict):
-    """Lanes.holding's memo."""
+    """Lanes.holding's memo: each bit of a verdict's binary string widens
+    to a lane of width bits, the bit lowest."""
 
-    def __init__(self, upto):
+    def __init__(self, width: int):
         super().__init__()
-        self.upto = upto
+        self.width, self.widen = width, {ord("0"): "0" * width, ord("1"): "0" * (width - 1) + "1"}
 
     def __missing__(self, verdict: int) -> int:
-        held = self[verdict] = self.upto[min(verdict.bit_length(), len(self.upto) - 1)]
+        lanes = int(format(verdict, "b").translate(self.widen), 2) << self.width
+        held = self[verdict] = lanes | (verdict != 0)
         return held
 
 
@@ -376,13 +377,13 @@ def enumerate_tables(domains: list[int], narrow: Callable) -> Iterator[list[int]
     Forward checking (Haralick & Elliott, Artif. Intell. 14, 1980): each
     (j, mask) of narrow(t, k), for a later j and reading no entry past k, is
     ANDed into j's domain below entry k, which is abandoned if one empties.
-    Domains may be Lanes, which carry several nested constraints through
-    one enumeration.  Each assignment is one node of ENUM_BUDGET; the one
-    past it raises."""
+    Domains may be Lanes, which carry several constraints through one
+    enumeration.  Each assignment is one node of ENUM_BUDGET; the one past
+    it raises."""
     lanes = domains if isinstance(domains, Lanes) else _ONE_LANE
     last, left, table, full = len(domains) - 1, ENUM_BUDGET, [0] * len(domains), lanes.full
     # sets[k]: the lanes that allow every entry up to k; sets[-1] all lanes.
-    sets = [lanes.upto[-1]] * (len(domains) + 1)
+    sets = [lanes.every_lane] * (len(domains) + 1)
     if lanes is domains:
         domains.sets, domains = sets, list(domains)  # a plain list indexes faster than a subclass
     # The domains in force at each depth, and the values not yet tried there;

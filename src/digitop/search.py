@@ -105,8 +105,7 @@ class _Assertion:
     # every complete table enumerated is hypothesis-true.
     condition: contracts.Condition
     within: bool = False  # the second map's values lie among the first's
-    increasing: bool = False  # each map's entries rise (on intervals only)
-    one_dimensional_only: bool = False
+    increasing: bool = False  # each map strictly increases: intervals only are scanned
 
     def conclusion(self, space: DigitalMetricSpace, maps) -> bool:
         """The conclusion on self-maps of the space."""
@@ -217,7 +216,6 @@ ASSERTIONS: dict[str, _Assertion] = {
             _compatible,
             DOMINATION,
             increasing=True,
-            one_dimensional_only=True,
         ),
         _Assertion("sum-bound-common-fix", 2, "xi", _hyp_sum_bound, _has_common_fix, SUM_BOUND),
         _Assertion(
@@ -343,12 +341,13 @@ def _sweep(space, arity: int, cond, grid: tuple, within=False, increasing=False,
     """Each table of value positions of `arity` maps in product order, one
     list filled in place, whose pairs all hold cond's row under grid
     (_narrow) in some lane.  lanes, an empty mapkit.Lanes of n-bit lanes,
-    receives the domains, so that its sets give each table's lanes;
-    without it there is one lane.  With increasing, each entry is pinned
-    to its own position, since a strictly increasing self-map of a finite
-    interval is the identity.  A budget error names the space."""
+    one constraint per grid value, receives the domains, so that its sets
+    give each table's lanes; without it the sweep makes its own.  With
+    increasing, each entry is pinned to its own position, since a strictly
+    increasing self-map of a finite interval is the identity.  A budget
+    error names the space."""
     n = len(space)
-    domains = Lanes() if lanes is None else lanes
+    domains = Lanes((), n, len(grid)) if lanes is None else lanes
     if increasing:
         domains += [domains.every(1 << k % n) for k in range(arity * n)]
     else:
@@ -360,17 +359,18 @@ def _sweep(space, arity: int, cond, grid: tuple, within=False, increasing=False,
 
 
 def _hits(counts: list, at) -> int:
-    """The hits at the grid positions whose lanes are at, from counts[m],
-    the tables held in m lanes: lane c holds those in more than c."""
-    return sum(sum(counts[c + 1 :]) for c in at)
+    """The hits at the grid positions whose constraints are at: constraint c
+    holds on the tables meeting more than c, counts[m] those meeting m."""
+    meeting = list(itertools.accumulate(reversed(counts)))[::-1]  # meeting[m]: m or more
+    return sum(meeting[c + 1] for c in at)
 
 
 def _param_lanes(name: str, raw) -> tuple[tuple, tuple, list]:
     """A search's parameter grid as Fractions (a Fraction is kept, any
     other value converted), its distinct values loosest first (the lanes'
-    values) and each grid position's lane.  Checked, deduplicated and
-    ordered on numerators and denominators: no Fraction is hashed or
-    compared."""
+    constraints) and each grid position's constraint.  Checked,
+    deduplicated and ordered on numerators and denominators: no Fraction
+    is hashed or compared."""
     grid = tuple(map(contracts._fraction, raw))
     if not grid:
         raise ValueError("parameter grid must not be empty")
@@ -381,8 +381,8 @@ def _param_lanes(name: str, raw) -> tuple[tuple, tuple, list]:
     distinct = dict(zip(pairs, grid))
     scale = math.lcm(*(den for _, den in distinct))
     order = sorted(distinct, key=lambda q: q[0] * (scale // q[1]), reverse=True)
-    lane = {q: k for k, q in enumerate(order)}
-    return grid, tuple(map(distinct.__getitem__, order)), [lane[q] for q in pairs]
+    constraint = {q: c for c, q in enumerate(order)}
+    return grid, tuple(map(distinct.__getitem__, order)), [constraint[q] for q in pairs]
 
 
 def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) -> SearchOutcome:
@@ -397,12 +397,12 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
 
     One enumeration per space and metric serves the whole grid: a bound
     lhs <= r * base holding under r holds under every larger r, so the
-    grid's values, loosest first, are nested lanes (mapkit.Lanes), and a
-    table's lanes give its hits at every grid position.  After a
-    conclusion-false table at position p only earlier positions stay live.
-    verify() replays a witness through the checker's own memo, not the
-    grid memo the search filled.  The spaces of one
-    _table_class (on an interval, all three metrics) are built and
+    grid's distinct values, loosest first, are constraints in lanes 1 on
+    (mapkit.Lanes), and the number a table meets gives its hits at each
+    grid position.  After a conclusion-false table at position p only
+    earlier positions stay live.  verify() replays a witness through the
+    checker's own memo, not the grid memo the search filled.  The spaces
+    of one _table_class (on an interval, all three metrics) are built and
     enumerated once (_per_table): a later one builds no distances and
     adds the first one's instances and hits, which had no witness, since
     a witness ends the search in the space where it is found.
@@ -421,10 +421,10 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         raise ValueError("size_bound must be at least 1")
     if spec.param is None:
         grid: tuple[Fraction | None, ...] = (None,)
-        values, lane = grid, [0]
+        values, constraint = grid, [0]
     else:
         raw = DEFAULT_PARAM_GRID if param_grid is None else param_grid
-        grid, values, lane = _param_lanes(spec.param, raw)
+        grid, values, constraint = _param_lanes(spec.param, raw)
     concludes = spec.concludes
     pruned = (spec.condition, values, spec.within, spec.increasing)
 
@@ -434,33 +434,33 @@ def find_counterexample(assertion: str, size_bound: int = 3, param_grid=None) ->
         n = len(space)
         lanes = Lanes((), n, len(values))
         tables = _sweep(space, spec.arity, *pruned, lanes)
-        # Tables by the number of lanes, loosest first, that hold them.
+        # Tables by the number of constraints, loosest first, they meet.
         # Past a witness at position p, past is the loosest earlier
-        # position's lane: a table held in no more lanes than that holds
-        # at no earlier position.
+        # position's constraint: a table that meets no more constraints
+        # than that holds at no earlier position.
         counts, p, witness, past = [0] * (len(values) + 1), len(grid), None, 0
         for t in tables:
-            if (m := lanes.size(lanes.sets[-2])) <= past:
+            if (m := lanes.sets[-2].bit_count() - 1) <= past:
                 continue
             counts[m] += 1
             if not concludes(n, t):
                 # The first position it holds at: only earlier ones can
                 # still hold an earlier witness.
-                p = next(c for c in range(p) if lane[c] < m)
-                witness = list(t), _hits(counts, lane[p : p + 1])
+                p = next(c for c in range(p) if constraint[c] < m)
+                witness = list(t), _hits(counts, constraint[p : p + 1])
                 if not p:
                     break
-                past = min(lane[:p])
+                past = min(constraint[:p])
         size = n ** (spec.arity * n)
         if witness is None:
-            return len(grid) * size, _hits(counts, lane), None
+            return len(grid) * size, _hits(counts, constraint), None
         t, seen = witness
         rank = functools.reduce(lambda r, v: r * n + v, t)
-        return p * size + rank + 1, _hits(counts, lane[:p]) + seen, (space, t, p)
+        return p * size + rank + 1, _hits(counts, constraint[:p]) + seen, (space, t, p)
 
     scanned = hits = spaces = 0
     status, found = EXHAUSTED, {}
-    combos = _scan_combos(size_bound, spec.one_dimensional_only)
+    combos = _scan_combos(size_bound, spec.increasing)
     for space_scanned, space_hits, witness in _per_table(combos, scan):
         spaces += 1
         scanned += space_scanned
@@ -537,23 +537,21 @@ def _theorem_sweep(name: str, combos, cond, grid: tuple, verify: Callable) -> Su
     """Tally verify(space, f, hypothesis, held), a report per tuple held,
     over every self-map f of each space of combos, (shape, metric) pairs,
     cond's row deciding the hypothesis under each tuple of grid: bit c of
-    a key's verdict holds under grid[c].  One enumeration per space keeps
-    the maps whose every pair holds for some tuple; each leaf is verified
-    once, as one SelfMap with the space's one hypothesis report, under the
-    tuples held on all its pairs i <= j (both rows are symmetric), in grid
-    order.  Every (table, tuple) left out fails the hypothesis.  Each
-    _table_class is built and enumerated once (_per_table)."""
+    a key's verdict holds under grid[c], tuple c's constraint in the lanes
+    (mapkit.Lanes).  One enumeration per space keeps the maps whose every
+    pair holds for some tuple; each leaf is verified once, as one SelfMap
+    with the space's one hypothesis report, under the tuples whose lanes
+    allow it, in grid order.  The narrowing reads the pairs i < j: a
+    diagonal pair of either row, lhs 0, holds under every tuple.  Every
+    (table, tuple) left out fails the hypothesis.  Each _table_class is
+    built and enumerated once (_per_table)."""
 
     def sweep(space):
-        n, rank, terms = len(space), space.rank, cond.terms
-        holds = contracts.verdicts(space, cond, grid)
+        n, lanes = len(space), Lanes((), len(space), len(grid))
         hypothesis = contracts._report(space, None)
         tally = dict.fromkeys(_TALLY.values(), 0)
-        for t in _sweep(space, 1, cond, grid):
-            mask = (1 << len(grid)) - 1
-            for i, j in itertools.combinations_with_replacement(range(n), 2):
-                mask &= holds[terms(rank, t, i, j)]
-            held = [coeffs for c, coeffs in enumerate(grid) if mask >> c & 1]
+        for t in _sweep(space, 1, cond, grid, lanes=lanes):
+            held = [grid[c] for c in lanes.constraints(lanes.sets[-2])]
             if held:
                 for report in verify(space, *_maps(space.image, t), hypothesis, held):
                     tally[_TALLY[report.conclusion]] += 1

@@ -283,7 +283,7 @@ def test_a_search_enumerates_each_space_once_for_the_whole_grid(assertion, size_
     # one per space made 21 at size bound 5 (18 at 4), and one per space
     # and grid value three times as many.
     spec = ASSERTIONS[assertion]
-    images = small_connected_images(size_bound, spec.one_dimensional_only)
+    images = small_connected_images(size_bound, spec.increasing)
     spaces = [DigitalMetricSpace(img, m) for img in images for m in (L1, L2, SHORTEST_PATH)]
     reached = spaces[: outcome.stats["space_metric_combinations"]]
     tables = {(sp.comparison_tolerance, sp.levels, sp.rank) for sp in reached}

@@ -128,6 +128,11 @@ def test_sqrt_rejects_negative():
         sqrt_exact(-2)
 
 
+def test_sqrt_rejects_a_float():
+    with pytest.raises(TypeError, match="expected an int or Fraction, got float"):
+        RadicalSum.sqrt(1.5)
+
+
 def test_radical_sum_is_immutable():
     with pytest.raises(AttributeError):
         SQRT2.terms = ()

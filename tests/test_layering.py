@@ -5,8 +5,8 @@ Every other module of the package reaches a condition through its row
 minimal_constant and the checkers.  A module that names a private part
 of that wiring, as contracts.X or in a from-import of contracts, fails
 here, and so does one that defines a verdict rule or a level key of its
-own.  Likewise only mapkit reads mapkit.Lanes' bit layout, its full and
-upto attributes.  The modules are read with ast, not imported.
+own.  Likewise only mapkit reads mapkit.Lanes' bit layout, its full, width
+and every_lane attributes.  The modules are read with ast, not imported.
 """
 
 import ast
@@ -67,6 +67,6 @@ def test_only_mapkit_reads_the_bit_layout_of_lanes(module):
     read = [
         (node.lineno, node.attr)
         for node in ast.walk(tree(module))
-        if isinstance(node, ast.Attribute) and node.attr in ("full", "upto")
+        if isinstance(node, ast.Attribute) and node.attr in ("full", "width", "every_lane")
     ]
     assert read == []

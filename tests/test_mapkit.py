@@ -8,7 +8,9 @@ Worked oracles in this file:
 """
 
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -253,6 +255,8 @@ def test_orbit_validation():
 def test_orbit_report_consistency_guard():
     with pytest.raises(ValueError):
         OrbitReport(((0,), (1,)), EVENTUALLY_CONSTANT, settle_index=0, value=(0,))
+    with pytest.raises(ValueError, match="needs settle_index and value"):
+        OrbitReport(((0,),), EVENTUALLY_CONSTANT, settle_index=0)
     with pytest.raises(ValueError):
         OrbitReport(((0,),), EVENTUALLY_PERIODIC, period=1)
     with pytest.raises(ValueError):
@@ -403,6 +407,64 @@ def test_lanes_carry_nested_narrowings_through_one_enumeration(domains, seed, co
     if nodes:
         with pytest.raises(EnumerationBudgetError):
             run(nodes - 1)
+
+
+def independent_lanes(length, seed, count):
+    """count constraints over 3-bit domains of this length, each its own
+    draw of domains and narrowing (of seed + c), and lane 0 their union.
+    Returns each constraint's plain domains and narrowing, lane 0's, and
+    the packed Lanes, lane 0 first, with their narrowing."""
+    rng = random.Random(seed)
+    plain = [[rng.randrange(8) for _ in range(length)] for _ in range(count)]
+    draws = [seeded_narrow(seed + c, length) for c in range(count)]
+
+    def rows(t, k):
+        """Each narrowed later entry with its mask in lane 0, then in each
+        constraint's lane (a row without the entry leaves all 3 bits)."""
+        drawn = [dict(draw(t, k)) for draw in draws]
+        for j in sorted(set().union(*drawn)):
+            masks = [row.get(j, 7) for row in drawn]
+            yield j, [functools.reduce(operator.or_, masks), *masks]
+
+    def union(t, k):
+        return [(j, masks[0]) for j, masks in rows(t, k)]
+
+    def packed(t, k):
+        return [(j, sum(m << 3 * c for c, m in enumerate(masks))) for j, masks in rows(t, k)]
+
+    domains = [[functools.reduce(operator.or_, ds), *ds] for ds in zip(*plain)]
+    lanes = [sum(d << 3 * c for c, d in enumerate(ds)) for ds in domains]
+    return plain, draws, ([ds[0] for ds in domains], union), mapkit.Lanes(lanes, 3, count), packed
+
+
+@given(st.integers(1, 4), st.integers(0, 99), st.integers(1, 3))
+def test_lanes_carry_independent_narrowings_through_one_enumeration(length, seed, count):
+    plain, narrows, union, lanes, packed = independent_lanes(length, seed, count)
+    tables = [[tuple(t) for t in enumerate_tables(*pair)] for pair in zip(plain, narrows)]
+    found = [(tuple(t), lanes.sets[-2]) for t in enumerate_tables(lanes, packed)]
+    # Lane 0's tables, each with the constraints whose own enumeration
+    # yields it: its lanes name them.
+    assert [t for t, _ in found] == [tuple(t) for t in enumerate_tables(*union)]
+    for t, held in found:
+        assert lanes.constraints(held) == [c for c in range(count) if t in tables[c]], t
+        assert held.bit_count() - 1 == len(lanes.constraints(held))
+    assert {t for ts in tables for t in ts} <= {t for t, _ in found}
+
+
+def test_holding_sends_verdict_bit_c_to_lane_c_plus_1():
+    lanes, lane = mapkit.Lanes((), 3, 4), [1 << 3 * c for c in range(5)]
+    held = lanes.holding()
+    # A bool is one constraint's verdict.
+    assert held[False] == 0 and held[True] == lane[0] | lane[1]
+    # Nested masks: the m loosest constraints, lanes 0 to m.
+    for m in range(1, 5):
+        assert held[(1 << m) - 1] == sum(lane[: m + 1])
+    # Any mask: each bit's lane, and lane 0 if any holds.
+    for verdict in range(1, 16):
+        met = [c for c in range(4) if verdict >> c & 1]
+        assert held[verdict] == lane[0] + sum(lane[c + 1] for c in met)
+        assert lanes.constraints(held[verdict]) == met
+    assert lanes.every(5) == sum(5 * bit for bit in lane)
 
 
 def test_fpp_holds_only_on_singleton():

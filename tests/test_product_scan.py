@@ -42,7 +42,7 @@ def product_scan(assertion, size_bound, grid):
     spec = ASSERTIONS[assertion]
     values = (None,) if spec.param is None else grid
     scanned = hits = spaces = 0
-    for img in small_connected_images(size_bound, spec.one_dimensional_only):
+    for img in small_connected_images(size_bound, spec.increasing):
         maps = list(enumerate_selfmaps(img))
         for metric in (L1, L2, SHORTEST_PATH):
             space = DigitalMetricSpace(img, metric)

@@ -174,6 +174,7 @@ def test_image_sorts_and_dedupes():
     assert img.points == ((0,), (1,), (2,))
     assert len(img) == 3
     assert (1,) in img and (5,) not in img
+    assert list(img) == [(0,), (1,), (2,)]
 
 
 def test_image_accepts_bare_int_shorthand():

@@ -335,15 +335,18 @@ def test_the_suite_verifies_only_hypothesis_true_maps(monkeypatch):
         "contraction-theorem-exhaustive": (6, 2),
         "two-coefficient-theorem-exhaustive": (6, 2),
     }
-    # The key count is exact: the narrowing reads 123 keys, and each of the
-    # 11 leaves (3 of 3 points, 8 of 4) reads its pairs i <= j, 98 keys;
-    # reading all n^2 made 155, 278 in all.  Each space swept made 834, one
-    # enumeration per space and tuple 6,996.
-    assert calls["_kannan_terms"] == 221
-    # Each of the two tables' 58 distinct Kannan keys is decided once, for
-    # the whole grid: each space swept made 174, and deciding each key
-    # under each of the ten tuples 1,740.
-    assert calls["_kannan"] == 58
+    # The key count is exact: the narrowing reads 123 keys, and the leaves
+    # none, since each leaf's lanes name its tuples.  The 11 leaves (3 of 3
+    # points, 8 of 4) reading their pairs i <= j made 98 more, 221 in all,
+    # and their n^2 pairs 278.  Each space swept made 834, one enumeration
+    # per space and tuple 6,996.
+    assert calls["_kannan_terms"] == 123
+    # Each of the two tables' 53 distinct Kannan keys the narrowing reads
+    # is decided once, for the whole grid.  The five diagonal keys, lhs
+    # d(Tx, Tx) = 0, hold under every tuple and are never read; the leaves
+    # reading them made 58.  Each space swept made 174, and deciding each
+    # key under each of the ten tuples 1,740.
+    assert calls["_kannan"] == 53
 
 
 @pytest.mark.parametrize("metric", [L1, L2, Lp(3), SHORTEST_PATH], ids=str)
